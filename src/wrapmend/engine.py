@@ -56,7 +56,8 @@ class AdaptationFailed(Exception):
 @dataclass
 class ExecutionContext:
     """A snapshot bundle: the primary page plus alternates standing in
-    for other windows/tabs.  current is advanced by process_flow."""
+    for other windows/tabs.  process_flow advances current during one
+    execute_wrapper call, which restores it before returning."""
 
     pages: tuple
     current: int = 0
@@ -655,7 +656,12 @@ class _Executor:
 
 def execute_wrapper(wrapper: Wrapper, ctx: ExecutionContext, max_cascade_depth: int = 3):
     """Returns (results per root rule, adaptation reports, new wrapper or
-    None when nothing changed)."""
+    None when nothing changed).  process_flow may advance ctx.current
+    while repairing; the caller's index is restored on return and raise."""
+    start = ctx.current
     executor = _Executor(wrapper, ctx, max_cascade_depth)
-    results = executor.run()
-    return results, executor.reports, executor.build_wrapper()
+    try:
+        results = executor.run()
+        return results, executor.reports, executor.build_wrapper()
+    finally:
+        ctx.current = start

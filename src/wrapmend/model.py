@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from wrapmend.dom import (
     DomNode,
@@ -318,31 +319,57 @@ def capture_example(
     )
 
 
-_schema_cache = None
+_validator_cache = None
+
+# sha256 digests of file bytes that passed schema validation in this
+# process, oldest first; bounded so a long-lived store cannot grow it
+_VALIDATED_LIMIT = 256
+_validated_digests = {}
 
 
-def _schema() -> dict:
-    global _schema_cache
-    if _schema_cache is None:
+def _validator():
+    """The shipped schema's validator, built and metaschema-checked once
+    per process."""
+    global _validator_cache
+    if _validator_cache is None:
         text = (
             resources.files("wrapmend")
             .joinpath("schema/wrapper-v1.schema.json")
             .read_text("utf-8")
         )
-        _schema_cache = json.loads(text)
-    return _schema_cache
+        schema = json.loads(text)
+        cls = validator_for(schema)
+        cls.check_schema(schema)
+        _validator_cache = cls(schema)
+    return _validator_cache
+
+
+def _validate(d: dict, digest: Optional[str]) -> None:
+    if digest is not None and digest in _validated_digests:
+        return
+    error = best_match(_validator().iter_errors(d))
+    if error is not None:
+        raise WrapperFormatError("schema violation: %s" % (error.message,))
+    if digest is not None:
+        _validated_digests[digest] = None
+        if len(_validated_digests) > _VALIDATED_LIMIT:
+            _validated_digests.pop(next(iter(_validated_digests)), None)
 
 
 def wrapper_to_dict(wrapper: Wrapper) -> dict:
     return wrapper.to_dict()
 
 
-def wrapper_from_dict(d: dict) -> Wrapper:
-    """Build a Wrapper from its file dict; schema-validated."""
-    try:
-        jsonschema.validate(d, _schema())
-    except jsonschema.ValidationError as e:
-        raise WrapperFormatError("schema violation: %s" % (e.message,))
+def wrapper_from_dict(d: dict, digest: Optional[str] = None) -> Wrapper:
+    """Build a Wrapper from its file dict; schema-validated.
+
+    digest, when given, is the sha256 of the bytes d was decoded from.
+    Validation depends only on those bytes and the fixed schema, so a
+    digest that already passed in this process is not validated again.
+    The Wrapper is built afresh every call: it is mutable and must not
+    be shared between callers.
+    """
+    _validate(d, digest)
     try:
         return Wrapper(
             name=d["name"],

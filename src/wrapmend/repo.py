@@ -35,7 +35,8 @@ class NotFoundError(StorageError):
 
 
 class CorruptionError(StorageError):
-    """Stored content no longer matches its recorded digest."""
+    """Stored content no longer matches its recorded digest, or the log
+    holds an undecodable acknowledged line."""
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,23 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _parse_record(line: bytes) -> VersionRecord:
+    """One log line; ValueError when it is not a whole version record."""
+    try:
+        return VersionRecord.from_dict(json.loads(line))
+    except (KeyError, TypeError, AttributeError) as e:
+        raise ValueError("not a version record: %r" % (e,))
+
+
+def _fsync_dir(path) -> None:
+    """Make new or renamed entries in a directory durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class WrapperStore:
     def __init__(self, root):
         self.root = Path(root)
@@ -84,35 +102,65 @@ class WrapperStore:
             raise StorageError("bad wrapper name %r" % (name,))
         return self.root / name
 
-    def _read_log(self, name: str) -> list:
+    def _scan_log(self, name: str):
+        """Parse the log; returns (records, keep, sep).
+
+        commit fsyncs each line together with its newline, so every
+        acknowledged line ends in one.  An undecodable final line with
+        no newline is a torn append that was never acknowledged: it is
+        skipped, and keep is the byte offset it starts at, for the next
+        commit to truncate to.  An undecodable line anywhere else is
+        corruption.  sep is the newline the next append must write first
+        when the log ends in a whole record without one.
+        """
         log = self._dir(name) / "log.jsonl"
-        if not log.exists():
+        try:
+            data = log.read_bytes()
+        except FileNotFoundError:
             raise NotFoundError("no wrapper named %r" % (name,))
+        head, newline, tail = data.rpartition(b"\n")
         records = []
-        with open(log, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(VersionRecord.from_dict(json.loads(line)))
+        for number, line in enumerate(head.split(b"\n"), 1):
+            if line.strip():
+                try:
+                    records.append(_parse_record(line))
+                except ValueError as e:
+                    raise CorruptionError(
+                        "undecodable log line %d for %r: %s" % (number, name, e)
+                    )
+        keep, sep = len(data), b""
+        if tail.strip():
+            try:
+                records.append(_parse_record(tail))
+                sep = b"\n"
+            except ValueError:
+                keep = len(head) + len(newline)
         if not records:
             raise NotFoundError("no wrapper named %r" % (name,))
-        return records
+        return records, keep, sep
+
+    def _read_log(self, name: str) -> list:
+        return self._scan_log(name)[0]
 
     def commit(self, wrapper: Wrapper, summary=(), timestamp=None) -> VersionRecord:
         """Persist one new version; wrapper.version must be latest + 1."""
         wdir = self._dir(wrapper.name)
-        wdir.mkdir(parents=True, exist_ok=True)
+        if not wdir.exists():
+            wdir.mkdir(parents=True, exist_ok=True)
+            _fsync_dir(self.root)
         lock_path = wdir / ".lock"
         with open(lock_path, "w") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
             try:
+                log_path = wdir / "log.jsonl"
                 try:
-                    records = self._read_log(wrapper.name)
+                    records, keep, sep = self._scan_log(wrapper.name)
                     latest = records[-1].version
                     parent = latest
                 except NotFoundError:
                     latest = 0
                     parent = None
+                    keep, sep = 0, b""
                 if wrapper.version != latest + 1:
                     raise ConflictError(
                         "expected version %d, got %d" % (latest + 1, wrapper.version)
@@ -133,10 +181,18 @@ class WrapperStore:
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, wdir / ("v%d.json" % wrapper.version))
-                with open(wdir / "log.jsonl", "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+                _fsync_dir(wdir)
+                created = not log_path.exists()
+                line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
+                with open(log_path, "ab") as fh:
+                    # drop a torn, never-acknowledged tail before appending
+                    if os.fstat(fh.fileno()).st_size > keep:
+                        fh.truncate(keep)
+                    fh.write(sep + line.encode("utf-8"))
                     fh.flush()
                     os.fsync(fh.fileno())
+                if created:
+                    _fsync_dir(wdir)
                 return record
             finally:
                 fcntl.flock(lock, fcntl.LOCK_UN)
@@ -159,8 +215,11 @@ class WrapperStore:
             raise CorruptionError(
                 "digest mismatch for %s v%d" % (name, record.version)
             )
+        # only bytes that match the log reach the validated-digest memo
         try:
-            return wrapper_from_dict(json.loads(data.decode("utf-8")))
+            return wrapper_from_dict(
+                json.loads(data.decode("utf-8")), digest=record.content_digest
+            )
         except (json.JSONDecodeError, WrapperFormatError) as e:
             raise CorruptionError("unreadable content for %s v%d: %s" % (name, record.version, e))
 

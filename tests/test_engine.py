@@ -370,7 +370,7 @@ class TestProcessFlow:
             pages=(parse_html(EMPTY_HTML, source_id="p0"), original_page("p1"))
         )
         results, reports, new_w = execute_wrapper(w, ctx)
-        assert ctx.current == 1
+        assert ctx.current == 0  # the caller's index is restored
         (rec,) = results
         assert rec.status == "ok"
         assert [p for p, _ in rec.matches] == [REC0, REC1]
@@ -384,6 +384,40 @@ class TestProcessFlow:
         assert results[0].status == "failed"
         assert ctx.current == 0
         assert new_w is None
+
+    def test_caller_index_restored_so_reruns_repeat(self):
+        w = build_wrapper(record_triggers=("process_flow",))
+        ctx = ExecutionContext(
+            pages=(parse_html(EMPTY_HTML, source_id="p0"), original_page("p1"))
+        )
+        first = execute_wrapper(w, ctx)
+        assert ctx.current == 0
+        # a second run over the same bundle starts from the primary page
+        # again, so it fails there and advances exactly as the first did
+        second = execute_wrapper(w, ctx)
+        assert ctx.current == 0
+        assert [r.to_dict() for r in second[0]] == [r.to_dict() for r in first[0]]
+        assert len(second[1]) == len(first[1]) == 1
+        assert not second[1][0].succeeded
+
+    def test_caller_index_restored_on_raise(self, monkeypatch):
+        import wrapmend.engine as engine
+
+        w = build_wrapper(record_triggers=("process_flow",))
+        ctx = ExecutionContext(
+            pages=(parse_html(EMPTY_HTML, source_id="p0"), original_page("p1"))
+        )
+        real_apply = engine.apply_plan
+
+        def apply_or_raise(plan, page, *args, **kwargs):
+            if page.source_id == "p1":
+                raise RuntimeError("alternate page unreadable")
+            return real_apply(plan, page, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "apply_plan", apply_or_raise)
+        with pytest.raises(RuntimeError):
+            execute_wrapper(w, ctx)
+        assert ctx.current == 0
 
 
 class TestCascadeDirectives:
@@ -501,7 +535,7 @@ class TestAttemptBudget:
         assert results[0].status == "failed"
         record_attempts = [r for r in reports if r.rule_name == "record"]
         assert 1 <= len(record_attempts) <= 3 * len(pages)
-        assert ctx.current == len(pages) - 1
+        assert ctx.current == 0  # the caller's index is restored
 
 
 class TestContextValidation:

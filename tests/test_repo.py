@@ -1,10 +1,14 @@
 """Wrapper store: commit/checkout round trips, history, tamper detection."""
 
+import hashlib
 import json
 
 import pytest
 
+import wrapmend.model as model
+import wrapmend.repo as repo
 from conftest import random_wrapper
+from wrapmend.dom import DomNode
 from wrapmend.model import Wrapper
 from wrapmend.repo import (
     ConflictError,
@@ -149,6 +153,146 @@ class TestTamper:
         for record in store.history("shop"):
             data = (tmp_path / "shop" / ("v%d.json" % record.version)).read_bytes()
             assert hashlib.sha256(data).hexdigest() == record.content_digest
+
+
+def with_stored_example(rng, name):
+    """A generated wrapper whose rules include at least one stored example."""
+    while True:
+        w = random_wrapper(rng, name=name)
+        for path, rule in w.iter_rules():
+            if rule.stored_example is not None:
+                return w, path
+
+
+class TestWarmCheckout:
+    def test_checkouts_are_equal_but_not_shared(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        w, path = with_stored_example(rng, "shop")
+        store.commit(w)
+        first = store.checkout("shop")
+        second = store.checkout("shop")
+        assert first == second == w
+        assert first is not second
+        subtree = first.find_rule(path).stored_example.subtree
+        assert subtree is not second.find_rule(path).stored_example.subtree
+        subtree.children.append(DomNode("ins", text="mutated"))
+        subtree.attributes["data-x"] = "1"
+        third = store.checkout("shop")
+        assert third == w
+        assert third.find_rule(path).stored_example.subtree != subtree
+
+    def test_tamper_after_warm_checkout_detected(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        store.commit(random_wrapper(rng, name="shop"))
+        assert store.checkout("shop") is not None
+        path = tmp_path / "shop" / "v1.json"
+        path.write_bytes(path.read_bytes().replace(b" ", b"  ", 1))
+        with pytest.raises(CorruptionError):
+            store.checkout("shop")
+
+    def test_schema_invalid_content_never_memoised(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        store.commit(random_wrapper(rng, name="shop"))
+        wdir = tmp_path / "shop"
+        d = json.loads((wdir / "v1.json").read_bytes())
+        d["surprise"] = True
+        content = (json.dumps(d, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        digest = hashlib.sha256(content).hexdigest()
+        # content and log agree, so only the schema can catch it
+        (wdir / "v1.json").write_bytes(content)
+        record = json.loads((wdir / "log.jsonl").read_text())
+        record["content_digest"] = digest
+        (wdir / "log.jsonl").write_text(json.dumps(record, sort_keys=True) + "\n")
+        for _ in range(3):
+            with pytest.raises(CorruptionError, match="schema violation"):
+                store.checkout("shop")
+        assert digest not in model._validated_digests
+
+
+class TestTornLog:
+    def test_torn_tail_skipped_then_truncated(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        w1 = random_wrapper(rng, name="shop")
+        store.commit(w1)
+        log = tmp_path / "shop" / "log.jsonl"
+        acknowledged = log.read_bytes()
+        # a crash mid-append: part of a record, no newline
+        with open(log, "ab") as fh:
+            fh.write(b'{"change_summary": [], "content_dig')
+        assert store.checkout("shop") == w1
+        assert [r.version for r in store.history("shop")] == [1]
+        w2 = bump(random_wrapper(rng, name="shop"), 2)
+        store.commit(w2)
+        lines = log.read_bytes().split(b"\n")
+        assert log.read_bytes().startswith(acknowledged)
+        assert lines[-1] == b"" and len(lines) == 3
+        assert [json.loads(x)["version"] for x in lines[:2]] == [1, 2]
+        assert store.checkout("shop") == w2
+
+    def test_torn_only_line_leaves_no_wrapper(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        (tmp_path / "shop").mkdir()
+        (tmp_path / "shop" / "log.jsonl").write_bytes(b'{"version": 1, "par')
+        with pytest.raises(NotFoundError):
+            store.checkout("shop")
+        w = random_wrapper(rng, name="shop")
+        assert store.commit(w).version == 1
+        assert store.checkout("shop") == w
+
+    def test_unterminated_whole_final_record_kept(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        w1 = random_wrapper(rng, name="shop")
+        store.commit(w1)
+        log = tmp_path / "shop" / "log.jsonl"
+        log.write_bytes(log.read_bytes().rstrip(b"\n"))
+        assert store.checkout("shop") == w1
+        store.commit(bump(random_wrapper(rng, name="shop"), 2))
+        versions = [json.loads(x)["version"] for x in log.read_text().splitlines()]
+        assert versions == [1, 2]
+
+    def test_corrupt_middle_line_raises(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        store.commit(random_wrapper(rng, name="shop"))
+        store.commit(bump(random_wrapper(rng, name="shop"), 2))
+        log = tmp_path / "shop" / "log.jsonl"
+        lines = log.read_bytes().split(b"\n")
+        lines[0] = lines[0][: len(lines[0]) // 2]
+        log.write_bytes(b"\n".join(lines))
+        with pytest.raises(CorruptionError):
+            store.checkout("shop")
+        with pytest.raises(CorruptionError):
+            store.history("shop")
+        with pytest.raises(CorruptionError):
+            store.commit(bump(random_wrapper(rng, name="shop"), 3))
+
+    def test_terminated_undecodable_final_line_raises(self, tmp_path, rng):
+        # a newline means commit fsynced the line: it was acknowledged
+        store = WrapperStore(tmp_path)
+        store.commit(random_wrapper(rng, name="shop"))
+        with open(tmp_path / "shop" / "log.jsonl", "ab") as fh:
+            fh.write(b"{not json}\n")
+        with pytest.raises(CorruptionError):
+            store.checkout("shop")
+
+
+class TestDurability:
+    def test_directory_entries_fsynced(self, tmp_path, rng, monkeypatch):
+        synced = []
+        real = repo._fsync_dir
+
+        def record(path):
+            synced.append(str(path))
+            real(path)
+
+        monkeypatch.setattr(repo, "_fsync_dir", record)
+        store = WrapperStore(tmp_path)
+        wdir = str(tmp_path / "shop")
+        store.commit(random_wrapper(rng, name="shop"))
+        # new wrapper directory, renamed v1.json, newly created log.jsonl
+        assert synced == [str(tmp_path), wdir, wdir]
+        del synced[:]
+        store.commit(bump(random_wrapper(rng, name="shop"), 2))
+        assert synced == [wdir]
 
 
 class TestMany:
