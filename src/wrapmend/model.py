@@ -321,11 +321,6 @@ def capture_example(
 
 _validator_cache = None
 
-# sha256 digests of file bytes that passed schema validation in this
-# process, oldest first; bounded so a long-lived store cannot grow it
-_VALIDATED_LIMIT = 256
-_validated_digests = {}
-
 
 def _validator():
     """The shipped schema's validator, built and metaschema-checked once
@@ -344,32 +339,15 @@ def _validator():
     return _validator_cache
 
 
-def _validate(d: dict, digest: Optional[str]) -> None:
-    if digest is not None and digest in _validated_digests:
-        return
-    error = best_match(_validator().iter_errors(d))
-    if error is not None:
-        raise WrapperFormatError("schema violation: %s" % (error.message,))
-    if digest is not None:
-        _validated_digests[digest] = None
-        if len(_validated_digests) > _VALIDATED_LIMIT:
-            _validated_digests.pop(next(iter(_validated_digests)), None)
-
-
 def wrapper_to_dict(wrapper: Wrapper) -> dict:
     return wrapper.to_dict()
 
 
-def wrapper_from_dict(d: dict, digest: Optional[str] = None) -> Wrapper:
-    """Build a Wrapper from its file dict; schema-validated.
-
-    digest, when given, is the sha256 of the bytes d was decoded from.
-    Validation depends only on those bytes and the fixed schema, so a
-    digest that already passed in this process is not validated again.
-    The Wrapper is built afresh every call: it is mutable and must not
-    be shared between callers.
-    """
-    _validate(d, digest)
+def wrapper_from_dict(d: dict) -> Wrapper:
+    """Build a Wrapper from its file dict; schema-validated."""
+    error = best_match(_validator().iter_errors(d))
+    if error is not None:
+        raise WrapperFormatError("schema violation: %s" % (error.message,))
     try:
         return Wrapper(
             name=d["name"],

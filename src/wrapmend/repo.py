@@ -145,9 +145,7 @@ class WrapperStore:
     def commit(self, wrapper: Wrapper, summary=(), timestamp=None) -> VersionRecord:
         """Persist one new version; wrapper.version must be latest + 1."""
         wdir = self._dir(wrapper.name)
-        if not wdir.exists():
-            wdir.mkdir(parents=True, exist_ok=True)
-            _fsync_dir(self.root)
+        wdir.mkdir(parents=True, exist_ok=True)
         lock_path = wdir / ".lock"
         with open(lock_path, "w") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
@@ -181,7 +179,12 @@ class WrapperStore:
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, wdir / ("v%d.json" % wrapper.version))
+                # the content file's entry and the wrapper directory's are
+                # durable before the log names them; the root is synced on
+                # every commit, since an earlier one may have crashed
+                # between mkdir and its sync
                 _fsync_dir(wdir)
+                _fsync_dir(self.root)
                 created = not log_path.exists()
                 line = json.dumps(record.to_dict(), sort_keys=True) + "\n"
                 with open(log_path, "ab") as fh:
@@ -215,11 +218,8 @@ class WrapperStore:
             raise CorruptionError(
                 "digest mismatch for %s v%d" % (name, record.version)
             )
-        # only bytes that match the log reach the validated-digest memo
         try:
-            return wrapper_from_dict(
-                json.loads(data.decode("utf-8")), digest=record.content_digest
-            )
+            return wrapper_from_dict(json.loads(data.decode("utf-8")))
         except (json.JSONDecodeError, WrapperFormatError) as e:
             raise CorruptionError("unreadable content for %s v%d: %s" % (name, record.version, e))
 

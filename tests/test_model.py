@@ -233,8 +233,7 @@ class TestRuleAndWrapper:
 
 def assert_schema_rejects(d):
     """wrapper_from_dict raises WrapperFormatError carrying the message
-    jsonschema.validate gives, with or without a digest, and never
-    remembers the digest as validated."""
+    jsonschema.validate gives, on a first and a repeated call."""
     schema = json.loads(
         resources.files("wrapmend")
         .joinpath("schema/wrapper-v1.schema.json")
@@ -242,13 +241,10 @@ def assert_schema_rejects(d):
     )
     with pytest.raises(jsonschema.ValidationError) as expected:
         jsonschema.validate(d, schema)
-    digest = "d" * 64
     for _ in range(2):
-        for given in (None, digest):
-            with pytest.raises(WrapperFormatError) as got:
-                wrapper_from_dict(d, digest=given)
-            assert str(got.value) == "schema violation: %s" % expected.value.message
-    assert digest not in model._validated_digests
+        with pytest.raises(WrapperFormatError) as got:
+            wrapper_from_dict(d)
+        assert str(got.value) == "schema violation: %s" % expected.value.message
 
 
 class TestSerialization:
@@ -309,30 +305,8 @@ class TestSerialization:
         d["rules"][0]["adaptation"]["threshold"] = {"constant": 0.5, "low": 0.1}
         assert_schema_rejects(d)
 
-    def test_validated_digest_builds_fresh_wrappers(self, monkeypatch):
-        monkeypatch.setattr(model, "_validated_digests", {})
-        validations = []
-        real = model._validator
-        monkeypatch.setattr(model, "_validator", lambda: validations.append(1) or real())
-        d = wrapper_to_dict(sample_wrapper())
-        first = wrapper_from_dict(d, digest="a" * 64)
-        second = wrapper_from_dict(d, digest="a" * 64)
-        assert len(validations) == 1  # the remembered digest skips validation
-        assert first == second == sample_wrapper()
-        assert first is not second
-        assert first.root_rules[0].stored_example.subtree is not (
-            second.root_rules[0].stored_example.subtree
-        )
-
-    def test_validated_digests_are_bounded(self, monkeypatch):
-        monkeypatch.setattr(model, "_validated_digests", {})
-        d = wrapper_to_dict(sample_wrapper())
-        limit = model._VALIDATED_LIMIT
-        for k in range(limit + 5):
-            wrapper_from_dict(d, digest="%064x" % k)
-        assert len(model._validated_digests) == limit
-        assert "%064x" % 0 not in model._validated_digests
-        assert "%064x" % (limit + 4) in model._validated_digests
+    def test_validator_built_once(self):
+        assert model._validator() is model._validator()
 
     def test_load_rejects_non_json(self, tmp_path):
         path = tmp_path / "junk.json"

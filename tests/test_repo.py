@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-import wrapmend.model as model
 import wrapmend.repo as repo
 from conftest import random_wrapper
 from wrapmend.dom import DomNode
@@ -164,7 +163,7 @@ def with_stored_example(rng, name):
                 return w, path
 
 
-class TestWarmCheckout:
+class TestRepeatedCheckout:
     def test_checkouts_are_equal_but_not_shared(self, tmp_path, rng):
         store = WrapperStore(tmp_path)
         w, path = with_stored_example(rng, "shop")
@@ -181,16 +180,7 @@ class TestWarmCheckout:
         assert third == w
         assert third.find_rule(path).stored_example.subtree != subtree
 
-    def test_tamper_after_warm_checkout_detected(self, tmp_path, rng):
-        store = WrapperStore(tmp_path)
-        store.commit(random_wrapper(rng, name="shop"))
-        assert store.checkout("shop") is not None
-        path = tmp_path / "shop" / "v1.json"
-        path.write_bytes(path.read_bytes().replace(b" ", b"  ", 1))
-        with pytest.raises(CorruptionError):
-            store.checkout("shop")
-
-    def test_schema_invalid_content_never_memoised(self, tmp_path, rng):
+    def test_schema_invalid_content_raises_every_checkout(self, tmp_path, rng):
         store = WrapperStore(tmp_path)
         store.commit(random_wrapper(rng, name="shop"))
         wdir = tmp_path / "shop"
@@ -206,7 +196,6 @@ class TestWarmCheckout:
         for _ in range(3):
             with pytest.raises(CorruptionError, match="schema violation"):
                 store.checkout("shop")
-        assert digest not in model._validated_digests
 
 
 class TestTornLog:
@@ -276,7 +265,8 @@ class TestTornLog:
 
 
 class TestDurability:
-    def test_directory_entries_fsynced(self, tmp_path, rng, monkeypatch):
+    @pytest.fixture
+    def synced(self, monkeypatch):
         synced = []
         real = repo._fsync_dir
 
@@ -285,14 +275,29 @@ class TestDurability:
             real(path)
 
         monkeypatch.setattr(repo, "_fsync_dir", record)
+        return synced
+
+    def test_directory_entries_fsynced(self, tmp_path, rng, synced):
         store = WrapperStore(tmp_path)
-        wdir = str(tmp_path / "shop")
+        root, wdir = str(tmp_path), str(tmp_path / "shop")
         store.commit(random_wrapper(rng, name="shop"))
-        # new wrapper directory, renamed v1.json, newly created log.jsonl
-        assert synced == [str(tmp_path), wdir, wdir]
+        # renamed v1.json and the wrapper directory, then the new log.jsonl
+        assert synced == [wdir, root, wdir]
         del synced[:]
         store.commit(bump(random_wrapper(rng, name="shop"), 2))
-        assert synced == [wdir]
+        assert synced == [wdir, root]
+
+    def test_root_fsynced_when_directory_left_without_log(
+        self, tmp_path, rng, synced
+    ):
+        # a commit that crashed after mkdir, before any sync
+        (tmp_path / "shop").mkdir()
+        store = WrapperStore(tmp_path)
+        root, wdir = str(tmp_path), str(tmp_path / "shop")
+        w = random_wrapper(rng, name="shop")
+        store.commit(w)
+        assert synced == [wdir, root, wdir]
+        assert store.checkout("shop") == w
 
 
 class TestMany:
