@@ -21,14 +21,12 @@ from wrapmend.dom import (
     ParseError,
     PathError,
     ancestor,
-    degree,
     detach_subtree,
     enumerate_subtrees,
     parse_html,
     parse_snippet,
     resolve,
     serialize,
-    sibling_count,
 )
 from wrapmend.engine import (
     AdaptationFailed,

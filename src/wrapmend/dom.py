@@ -80,11 +80,6 @@ class DomNode:
     children: list = field(default_factory=list)
     parent_path: Optional[NodePath] = None
     sibling_index: int = 0
-    sibling_count: int = 1  # siblings including self; 1 for a root
-
-    @property
-    def degree(self) -> int:
-        return len(self.children)
 
     @property
     def path(self) -> NodePath:
@@ -135,22 +130,19 @@ class DomTree:
 
 
 def _freeze(root: DomNode) -> int:
-    """Assign parent_path / sibling_index / sibling_count below root and
-    return the subtree's node count.  Root is treated as having no siblings."""
+    """Assign parent_path / sibling_index below root and return the
+    subtree's node count.  Root is treated as having no siblings."""
     root.parent_path = None
     root.sibling_index = 0
-    root.sibling_count = 1
     count = 0
     stack = [root]
     while stack:
         node = stack.pop()
         count += 1
         path = node.path
-        n = len(node.children)
         for i, child in enumerate(node.children):
             child.parent_path = path
             child.sibling_index = i
-            child.sibling_count = n
             stack.append(child)
     return count
 
@@ -295,16 +287,6 @@ def _serialize_into(node: DomNode, depth: int, indent: int, lines: list):
     lines.append("%s</%s>" % (pad, node.label))
 
 
-def degree(node: DomNode) -> int:
-    """Number of element children."""
-    return len(node.children)
-
-
-def sibling_count(node: DomNode) -> int:
-    """Number of siblings including the node itself; 1 for a tree root."""
-    return node.sibling_count
-
-
 def resolve(tree, path: NodePath) -> DomNode:
     """Walk a path of child indices from the root.  () resolves to the root."""
     node = tree.root if isinstance(tree, DomTree) else tree
@@ -315,26 +297,26 @@ def resolve(tree, path: NodePath) -> DomNode:
     return node
 
 
-def resolve_in(node: DomNode, path: NodePath) -> DomNode:
-    """Resolve a relative path below an arbitrary node (e.g. a stored
-    example's residual path inside a matched candidate)."""
-    return resolve(node, path)
-
-
 def enumerate_subtrees(tree, label: Optional[str] = None):
     """All (path, node) pairs in document order, optionally filtered by label."""
     root = tree.root if isinstance(tree, DomTree) else tree
     out = []
-    for path, node in _walk(root, ()):
+    for path, node in _walk(root):
         if label is None or node.label == label:
             out.append((path, node))
     return out
 
 
-def _walk(node: DomNode, path: NodePath) -> Iterator:
-    yield path, node
-    for i, child in enumerate(node.children):
-        yield from _walk(child, path + (i,))
+def _walk(node: DomNode, path: NodePath = ()) -> Iterator:
+    """(path, node) for the node and every descendant, document order.
+    An explicit stack, so page depth is not bounded by the recursion limit."""
+    stack = [(path, node)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        children = node.children
+        for i in range(len(children) - 1, -1, -1):
+            stack.append((path + (i,), children[i]))
 
 
 def ancestor(tree, path: NodePath, levels: int):
@@ -354,8 +336,8 @@ def ancestor(tree, path: NodePath, levels: int):
 
 
 def detach_subtree(node: DomNode) -> DomNode:
-    """Deep copy re-rooted at the node: the copy has no parent and
-    sibling_count 1, so it scores as a standalone tree."""
+    """Deep copy re-rooted at the node: the copy's path is () and its
+    descendants' paths are relative to it."""
     copy = _copy_node(node)
     _freeze(copy)
     return copy
@@ -371,14 +353,14 @@ def _copy_node(node: DomNode) -> DomNode:
 
 
 def subtree_size(node: DomNode) -> int:
-    return 1 + sum(subtree_size(c) for c in node.children)
+    return sum(1 for _ in _walk(node))
 
 
 def subtree_text(node: DomNode) -> str:
     """Owned text of the node and all descendants, document order,
     space-joined.  Used for content-anchor detection."""
     parts = []
-    for _, n in _walk(node, ()):
+    for _, n in _walk(node):
         if n.text:
             parts.append(n.text)
     return " ".join(parts)

@@ -1,195 +1,98 @@
-"""Array kernels for scoring one stored subtree against a whole page.
+"""The tree-matching dynamic programs, and scoring one stored subtree
+against every candidate of a page.
 
-Repair has to score the stored example against every candidate subtree of
-a page; done naively that re-walks shared descendant pairs once per
-candidate.  Here both trees are flattened to int arrays (preorder, so a
-node's children always carry higher indices) and the score of every node
-pair is filled bottom-up in one pass: (na-1) x (nb-1) cells, each a small
-alignment DP over the pair's children.
+Both algorithms are Yang's simple tree matching (1991): the best order-
+and ancestry-preserving mapping between two trees is the best alignment of
+their children's sequences, each aligned pair scored by the same program
+one level down.  `_stm` counts mapped nodes; `_wtm` divides each child
+pair's score by the larger of the two sibling counts, so identical trees
+score exactly 1.0.
 
-Kernels are compiled with numba when it is importable; setting
-WRAPMEND_NO_NUMBA=1 selects the identical pure-Python/numpy path (also
-the automatic fallback when numba is absent).  benchmarks/bench_matching.py
-compares the two.
+A memo keyed by node identity holds every scored pair.  Repair scores the
+stored example against every same-label node of a page, and those
+candidates nest, so `score_against_page` shares one memo across them:
+the alignment of each (stored node, page node) pair is computed once
+per call.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from wrapmend.dom import DomNode, DomTree, _walk, subtree_size
 
-import numpy as np
-
-from wrapmend.dom import DomNode, DomTree
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-    HAVE_NUMBA = False
-
-DISABLE_VAR = "WRAPMEND_NO_NUMBA"
+HAVE_NUMBA = False
+"""Always False: nothing is compiled; the benchmark still stamps it."""
 
 
 def jit_enabled() -> bool:
-    if not HAVE_NUMBA:
-        return False
-    return os.environ.get(DISABLE_VAR, "") in ("", "0")
+    """Always False: scoring has one pure-Python path; the benchmark still stamps it."""
+    return False
 
 
-@dataclass
-class FlatTree:
-    """Preorder arrays for one tree.  Children of node u are
-    child_idx[child_ptr[u]:child_ptr[u+1]]; sizes[u] is u's subtree size."""
-
-    labels: np.ndarray
-    child_ptr: np.ndarray
-    child_idx: np.ndarray
-    sizes: np.ndarray
-    paths: list
-
-
-def flatten(root: DomNode, labeler, intern: dict) -> FlatTree:
-    """Flatten a tree, interning labeler keys into `intern` so that two
-    trees flattened with the same dict share label ids."""
-    labels = []
-    kids: list = []
-    paths = []
-
-    def visit(node, path):
-        u = len(labels)
-        key = labeler.key(node)
-        lid = intern.get(key)
-        if lid is None:
-            lid = len(intern)
-            intern[key] = lid
-        labels.append(lid)
-        kids.append(None)
-        paths.append(path)
-        own = []
-        for i, child in enumerate(node.children):
-            own.append(visit(child, path + (i,)))
-        kids[u] = own
-        return u
-
-    visit(root, ())
-    n = len(labels)
-    child_ptr = np.zeros(n + 1, dtype=np.int64)
-    for u in range(n):
-        child_ptr[u + 1] = child_ptr[u] + len(kids[u])
-    child_idx = np.zeros(int(child_ptr[n]), dtype=np.int64)
-    for u in range(n):
-        child_idx[child_ptr[u]:child_ptr[u + 1]] = kids[u]
-    sizes = np.ones(n, dtype=np.int64)
-    for u in range(n - 1, -1, -1):
-        for v in child_idx[child_ptr[u]:child_ptr[u + 1]]:
-            sizes[u] += sizes[v]
-    return FlatTree(
-        labels=np.asarray(labels, dtype=np.int64),
-        child_ptr=child_ptr,
-        child_idx=child_idx,
-        sizes=sizes,
-        paths=paths,
-    )
+def _stm(a, b, labeler, memo) -> int:
+    if labeler.key(a) != labeler.key(b):
+        return 0
+    k = (id(a), id(b))
+    got = memo.get(k)
+    if got is not None:
+        return got
+    m, n = len(a.children), len(b.children)
+    row = [0] * (n + 1)
+    for i in range(1, m + 1):
+        prev, row = row, [0] * (n + 1)
+        ca = a.children[i - 1]
+        for j in range(1, n + 1):
+            w = _stm(ca, b.children[j - 1], labeler, memo)
+            row[j] = max(row[j - 1], prev[j], prev[j - 1] + w)
+    memo[k] = out = 1 + row[n]
+    return out
 
 
-def _weighted_all_pairs(labels_a, ptr_a, idx_a, labels_b, ptr_b, idx_b):
-    na = labels_a.shape[0]
-    nb = labels_b.shape[0]
-    H = np.zeros((na, nb), dtype=np.float64)
-    for u in range(na - 1, -1, -1):
-        m = ptr_a[u + 1] - ptr_a[u]
-        for v in range(nb - 1, -1, -1):
-            if labels_a[u] != labels_b[v]:
-                continue
-            n = ptr_b[v + 1] - ptr_b[v]
-            if m == 0 or n == 0:
-                H[u, v] = 1.0
-                continue
-            denom = float(max(m, n))
-            M = np.zeros((m + 1, n + 1), dtype=np.float64)
-            for i in range(1, m + 1):
-                cu = idx_a[ptr_a[u] + i - 1]
-                for j in range(1, n + 1):
-                    cv = idx_b[ptr_b[v] + j - 1]
-                    best = M[i, j - 1]
-                    if M[i - 1, j] > best:
-                        best = M[i - 1, j]
-                    cand = M[i - 1, j - 1] + H[cu, cv] / denom
-                    if cand > best:
-                        best = cand
-                    M[i, j] = best
-            H[u, v] = M[m, n]
-    return H
-
-
-def _simple_all_pairs(labels_a, ptr_a, idx_a, labels_b, ptr_b, idx_b):
-    na = labels_a.shape[0]
-    nb = labels_b.shape[0]
-    S = np.zeros((na, nb), dtype=np.int64)
-    for u in range(na - 1, -1, -1):
-        m = ptr_a[u + 1] - ptr_a[u]
-        for v in range(nb - 1, -1, -1):
-            if labels_a[u] != labels_b[v]:
-                continue
-            n = ptr_b[v + 1] - ptr_b[v]
-            M = np.zeros((m + 1, n + 1), dtype=np.int64)
-            for i in range(1, m + 1):
-                cu = idx_a[ptr_a[u] + i - 1]
-                for j in range(1, n + 1):
-                    cv = idx_b[ptr_b[v] + j - 1]
-                    best = M[i, j - 1]
-                    if M[i - 1, j] > best:
-                        best = M[i - 1, j]
-                    cand = M[i - 1, j - 1] + S[cu, cv]
-                    if cand > best:
-                        best = cand
-                    M[i, j] = best
-            S[u, v] = 1 + M[m, n]
-    return S
-
-
-_weighted_py = _weighted_all_pairs
-_simple_py = _simple_all_pairs
-if HAVE_NUMBA:
-    _weighted_jit = njit(cache=True)(_weighted_all_pairs)
-    _simple_jit = njit(cache=True)(_simple_all_pairs)
-else:  # pragma: no cover
-    _weighted_jit = None
-    _simple_jit = None
-
-
-def weighted_all_pairs(a: FlatTree, b: FlatTree) -> np.ndarray:
-    fn = _weighted_jit if jit_enabled() else _weighted_py
-    return fn(a.labels, a.child_ptr, a.child_idx, b.labels, b.child_ptr, b.child_idx)
-
-
-def simple_all_pairs(a: FlatTree, b: FlatTree) -> np.ndarray:
-    fn = _simple_jit if jit_enabled() else _simple_py
-    return fn(a.labels, a.child_ptr, a.child_idx, b.labels, b.child_ptr, b.child_idx)
+def _wtm(a, b, labeler, memo) -> float:
+    # Context-free form: the caller divides by its own sibling-group size,
+    # so this returns the score as if a and b were roots (t = 1).
+    if labeler.key(a) != labeler.key(b):
+        return 0.0
+    m, n = len(a.children), len(b.children)
+    if m == 0 or n == 0:
+        return 1.0
+    k = (id(a), id(b))
+    got = memo.get(k)
+    if got is not None:
+        return got
+    denom = float(max(m, n))
+    row = [0.0] * (n + 1)
+    for i in range(1, m + 1):
+        prev, row = row, [0.0] * (n + 1)
+        ca = a.children[i - 1]
+        for j in range(1, n + 1):
+            w = _wtm(ca, b.children[j - 1], labeler, memo) / denom
+            row[j] = max(row[j - 1], prev[j], prev[j - 1] + w)
+    memo[k] = out = row[n]
+    return out
 
 
 def score_against_page(stored: DomNode, page: DomTree, labeler, algorithm: str) -> list:
     """(path, score) for every page node whose label matches the stored
     root's label.  Weighted scores are the sibling-weighted similarity;
-    simple scores are normalized match counts.  Document order."""
-    intern: dict = {}
-    a = flatten(stored, labeler, intern)
-    b = flatten(page.root, labeler, intern)
-    root_label = a.labels[0]
-    out = []
+    simple scores are normalized match counts, 2*STM / (|a| + |b|).
+    Document order."""
+    key = labeler.key(stored)
+    memo: dict = {}
+    walk = list(_walk(page.root))
     if algorithm == "weighted":
-        H = weighted_all_pairs(a, b)
-        for v in range(b.labels.shape[0]):
-            if b.labels[v] == root_label:
-                out.append((b.paths[v], float(H[0, v])))
-    else:
-        S = simple_all_pairs(a, b)
-        size_a = int(a.sizes[0])
-        for v in range(b.labels.shape[0]):
-            if b.labels[v] == root_label:
-                score = 2.0 * int(S[0, v]) / (size_a + int(b.sizes[v]))
-                out.append((b.paths[v], score))
-    return out
+        return [
+            (path, _wtm(stored, node, labeler, memo))
+            for path, node in walk
+            if labeler.key(node) == key
+        ]
+    # subtree sizes of the whole page in one pass: children precede their
+    # parent in reverse document order
+    sizes: dict = {}
+    for _, node in reversed(walk):
+        sizes[id(node)] = 1 + sum(sizes[id(c)] for c in node.children)
+    size_a = subtree_size(stored)
+    return [
+        (path, 2.0 * _stm(stored, node, labeler, memo) / (size_a + sizes[id(node)]))
+        for path, node in walk
+        if labeler.key(node) == key
+    ]

@@ -1,10 +1,11 @@
 """Tree similarity for wrapper repair.
 
-Two algorithms over element trees:
+Two algorithms over element trees, both Yang's simple tree matching with
+labels compared through a `Labeler`:
 
-* simple_tree_matching: the classic top-down dynamic program.  Counts the
-  nodes of the largest order- and ancestry-preserving mapping between two
-  trees (label-equal pairs only).  Returns an integer count.
+* simple_tree_matching: counts the nodes of the largest order- and
+  ancestry-preserving mapping between two trees (label-equal pairs only).
+  normalized_stm scales the count to [0, 1] as 2*STM / (|a| + |b|).
 
 * weighted_tree_matching: the same alignment, but every matched node
   contributes 1/max(t', t'') where t', t'' are the sibling counts of the
@@ -14,18 +15,20 @@ Two algorithms over element trees:
   in proportion to the size of the region they disturb rather than the
   raw node count.
 
-The functions here are the plain recursive forms, used directly for
-small inputs and as the reference the array kernels are checked against.
+The dynamic programs live in `wrapmend.kernels`; best_matches ranks a
+page's candidates with `kernels.score_against_page`, which shares one
+memo across them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from wrapmend.dom import DomNode, DomTree, NodePath, enumerate_subtrees, subtree_size
+from wrapmend import kernels
+from wrapmend.dom import DomNode, DomTree, NodePath, subtree_size
+from wrapmend.kernels import _stm, _wtm
 
 
 @dataclass(frozen=True)
@@ -100,25 +103,6 @@ def simple_tree_matching(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LABE
     return _stm(a, b, labeler, {})
 
 
-def _stm(a, b, labeler, memo) -> int:
-    if labeler.key(a) != labeler.key(b):
-        return 0
-    k = (id(a), id(b))
-    got = memo.get(k)
-    if got is not None:
-        return got
-    m, n = len(a.children), len(b.children)
-    row = [0] * (n + 1)
-    for i in range(1, m + 1):
-        prev, row = row, [0] * (n + 1)
-        ca = a.children[i - 1]
-        for j in range(1, n + 1):
-            w = _stm(ca, b.children[j - 1], labeler, memo)
-            row[j] = max(row[j - 1], prev[j], prev[j - 1] + w)
-    memo[k] = out = 1 + row[n]
-    return out
-
-
 def weighted_tree_matching(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LABELER) -> float:
     """Sibling-weighted similarity in [0, 1].
 
@@ -127,30 +111,6 @@ def weighted_tree_matching(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LA
     sibling counts weight the recursion below the roots.
     """
     return _wtm(a, b, labeler, {})
-
-
-def _wtm(a, b, labeler, memo) -> float:
-    # Context-free form: the caller divides by its own sibling-group size,
-    # so this returns the score as if a and b were roots (t = 1).
-    if labeler.key(a) != labeler.key(b):
-        return 0.0
-    m, n = len(a.children), len(b.children)
-    if m == 0 or n == 0:
-        return 1.0
-    k = (id(a), id(b))
-    got = memo.get(k)
-    if got is not None:
-        return got
-    denom = float(max(m, n))
-    row = [0.0] * (n + 1)
-    for i in range(1, m + 1):
-        prev, row = row, [0.0] * (n + 1)
-        ca = a.children[i - 1]
-        for j in range(1, n + 1):
-            w = _wtm(ca, b.children[j - 1], labeler, memo) / denom
-            row[j] = max(row[j - 1], prev[j], prev[j - 1] + w)
-    memo[k] = out = row[n]
-    return out
 
 
 def normalized_stm(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LABELER) -> float:
@@ -205,8 +165,8 @@ def best_matches(
     [0, 1], so min_score > 1 yields an empty list.
     """
     _check_algorithm(algorithm)
-    from wrapmend import kernels  # deferred: importing numba is not free
-
+    # through the module attribute, so a caller that rebinds
+    # kernels.score_against_page (the benchmark's tracer) sees every call
     scored = kernels.score_against_page(stored, page, labeler, algorithm)
     picked = [(path, score) for path, score in scored if score >= min_score]
     picked.sort(key=lambda it: (-it[1], it[0]))

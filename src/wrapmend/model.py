@@ -28,7 +28,6 @@ from wrapmend.dom import (
     detach_subtree,
     parse_snippet,
     resolve,
-    resolve_in,
     serialize,
 )
 from wrapmend.constraints import constraint_from_dict
@@ -159,7 +158,7 @@ class StoredExample:
     def __post_init__(self):
         self.residual_path = tuple(self.residual_path)
         try:
-            resolve_in(self.subtree, self.residual_path)
+            resolve(self.subtree, self.residual_path)
         except LookupError:
             raise ValueError(
                 "residual_path %r does not resolve inside the stored subtree"
@@ -167,7 +166,7 @@ class StoredExample:
             )
 
     def target(self) -> DomNode:
-        return resolve_in(self.subtree, self.residual_path)
+        return resolve(self.subtree, self.residual_path)
 
     def to_dict(self) -> dict:
         return {

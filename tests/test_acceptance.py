@@ -18,7 +18,7 @@ from wrapmend.constraints import CardinalityConstraint, validate_results
 from wrapmend.corpus import build_corpus, evaluate_corpus
 from wrapmend.dom import parse_html, parse_snippet, subtree_size
 from wrapmend.engine import ExecutionContext, execute_wrapper
-from wrapmend.matching import best_matches, simple_tree_matching, weighted_tree_matching
+from wrapmend.matching import simple_tree_matching, weighted_tree_matching
 from wrapmend.metrics import compute_metrics
 from wrapmend.model import load_wrapper, wrapper_to_dict
 from wrapmend.repo import CorruptionError, WrapperStore
@@ -32,14 +32,6 @@ CORPUS_SEED = 0
 
 def _line(num: int, text: str) -> None:
     print("criterion %d PASS: %s" % (num, text))
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile the scoring kernels outside any timed window
-    page = parse_html("<html><body><div><span>x</span></div></body></html>")
-    best_matches(page.root.children[0].children[0], page, algorithm="weighted")
-    best_matches(page.root.children[0].children[0], page, algorithm="simple")
 
 
 @pytest.fixture(scope="module")

@@ -9,19 +9,17 @@ from wrapmend.dom import (
     ParseError,
     PathError,
     ancestor,
-    degree,
     detach_subtree,
     enumerate_subtrees,
     parse_html,
     parse_snippet,
     resolve,
     serialize,
-    sibling_count,
     subtree_size,
     subtree_text,
 )
 
-from conftest import build_node, build_tree, random_tree
+from conftest import build_node, random_tree
 
 
 class TestParse:
@@ -210,17 +208,6 @@ class TestSerialize:
 
 
 class TestAccessors:
-    def test_degree_ignores_text(self):
-        node = build_node("div", build_node("a"), build_node("b"), build_node("c"),
-                          text="words")
-        assert degree(node) == 3
-
-    def test_sibling_count(self):
-        tree = build_tree("ul", build_node("li"), build_node("li"), build_node("li"))
-        assert sibling_count(tree.root) == 1
-        for li in tree.root.children:
-            assert sibling_count(li) == 3
-
     def test_enumerate_subtrees_document_order(self):
         tree = parse_html("<html><body><div><p>a</p></div><div><p>b</p></div></body></html>")
         paths = [p for p, _ in enumerate_subtrees(tree)]
@@ -267,7 +254,6 @@ class TestAccessors:
         assert copy == div
         assert copy is not div
         assert copy.parent_path is None
-        assert copy.sibling_count == 1
         copy.children[0].text = "changed"
         assert div.children[0].text == "a"
 
