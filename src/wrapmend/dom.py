@@ -14,7 +14,7 @@ fixed point even though the serializer indents.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from html.parser import HTMLParser
 from typing import Iterator, Optional
 
@@ -68,18 +68,36 @@ def _collapse_ws(s: str) -> str:
     return " ".join(s.split())
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, init=False)
 class DomNode:
     """One element.  Equality is structural (label, attributes, text,
     children); positional metadata is excluded so a detached copy of a
     subtree compares equal to the original."""
 
     label: str
-    attributes: dict = field(default_factory=dict)
-    text: str = ""
-    children: list = field(default_factory=list)
-    parent_path: Optional[NodePath] = None
-    sibling_index: int = 0
+    attributes: dict
+    text: str
+    children: list
+    parent_path: Optional[NodePath]
+    sibling_index: int
+
+    # Written out rather than generated: a page builds one node per element,
+    # and literals are cheaper than the generated default factories.
+    def __init__(
+        self,
+        label: str,
+        attributes: Optional[dict] = None,
+        text: str = "",
+        children: Optional[list] = None,
+        parent_path: Optional[NodePath] = None,
+        sibling_index: int = 0,
+    ):
+        self.label = label
+        self.attributes = {} if attributes is None else attributes
+        self.text = text
+        self.children = [] if children is None else children
+        self.parent_path = parent_path
+        self.sibling_index = sibling_index
 
     @property
     def path(self) -> NodePath:

@@ -17,6 +17,8 @@ per call.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from wrapmend.dom import DomNode, DomTree, _walk, subtree_size
 
 HAVE_NUMBA = False
@@ -28,21 +30,62 @@ def jit_enabled() -> bool:
     return False
 
 
+_label = attrgetter("label")
+
+
+def _key_function(labeler):
+    """labeler.key, or the bare element name when the other two key
+    components are disabled: they are then always empty, and the programs
+    below only compare keys for equality."""
+    if labeler.use_id_attribute or labeler.use_class_attribute:
+        return labeler.key
+    return _label
+
+
+# Both programs fill the alignment table of a's children (rows) against
+# b's children (columns).  A cell is max(left, up, diagonal + pair score),
+# and the pair score is 0 unless the two children's keys are equal, so
+# only key-equal pairs are scored, and a pair with a leaf is scored without
+# a call: it maps just the two children.  Rows never decrease, so for a
+# mismatched pair max(left, up) is already the cell's value, and a child
+# with no key-equal partner leaves the row as it was.  Every cell holds the
+# same number, to the bit, as the full recurrence: max picks among the same
+# values, and each diagonal is the same sum.
+
+
 def _stm(a, b, labeler, memo) -> int:
-    if labeler.key(a) != labeler.key(b):
+    key = _key_function(labeler)
+    if key(a) != key(b):
         return 0
+    return _stm_eq(a, b, key, memo)
+
+
+def _stm_eq(a, b, key, memo) -> int:
     k = (id(a), id(b))
     got = memo.get(k)
     if got is not None:
         return got
-    m, n = len(a.children), len(b.children)
+    bc = b.children
+    n = len(bc)
+    keys_b = [key(c) for c in bc]
     row = [0] * (n + 1)
-    for i in range(1, m + 1):
-        prev, row = row, [0] * (n + 1)
-        ca = a.children[i - 1]
-        for j in range(1, n + 1):
-            w = _stm(ca, b.children[j - 1], labeler, memo)
-            row[j] = max(row[j - 1], prev[j], prev[j - 1] + w)
+    for ca in a.children:
+        ka = key(ca)
+        if ka not in keys_b:
+            continue
+        prev, row = row, [0]
+        for j in range(n):
+            left, up = row[j], prev[j + 1]
+            best = left if left > up else up
+            if keys_b[j] == ka:
+                cb = bc[j]
+                if ca.children and cb.children:
+                    diag = prev[j] + _stm_eq(ca, cb, key, memo)
+                else:
+                    diag = prev[j] + 1
+                if diag > best:
+                    best = diag
+            row.append(best)
     memo[k] = out = 1 + row[n]
     return out
 
@@ -50,9 +93,15 @@ def _stm(a, b, labeler, memo) -> int:
 def _wtm(a, b, labeler, memo) -> float:
     # Context-free form: the caller divides by its own sibling-group size,
     # so this returns the score as if a and b were roots (t = 1).
-    if labeler.key(a) != labeler.key(b):
+    key = _key_function(labeler)
+    if key(a) != key(b):
         return 0.0
-    m, n = len(a.children), len(b.children)
+    return _wtm_eq(a, b, key, memo)
+
+
+def _wtm_eq(a, b, key, memo) -> float:
+    ac, bc = a.children, b.children
+    m, n = len(ac), len(bc)
     if m == 0 or n == 0:
         return 1.0
     k = (id(a), id(b))
@@ -60,13 +109,25 @@ def _wtm(a, b, labeler, memo) -> float:
     if got is not None:
         return got
     denom = float(max(m, n))
+    keys_b = [key(c) for c in bc]
     row = [0.0] * (n + 1)
-    for i in range(1, m + 1):
-        prev, row = row, [0.0] * (n + 1)
-        ca = a.children[i - 1]
-        for j in range(1, n + 1):
-            w = _wtm(ca, b.children[j - 1], labeler, memo) / denom
-            row[j] = max(row[j - 1], prev[j], prev[j - 1] + w)
+    for ca in ac:
+        ka = key(ca)
+        if ka not in keys_b:
+            continue
+        prev, row = row, [0.0]
+        for j in range(n):
+            left, up = row[j], prev[j + 1]
+            best = left if left > up else up
+            if keys_b[j] == ka:
+                cb = bc[j]
+                if ca.children and cb.children:
+                    diag = prev[j] + _wtm_eq(ca, cb, key, memo) / denom
+                else:
+                    diag = prev[j] + 1.0 / denom
+                if diag > best:
+                    best = diag
+            row.append(best)
     memo[k] = out = row[n]
     return out
 
