@@ -18,7 +18,7 @@ import random
 from dataclasses import replace
 
 from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint
-from wrapmend.dom import DomTree, parse_html, serialize
+from wrapmend.dom import DomTree, enumerate_subtrees, parse_html, serialize
 from wrapmend.engine import ExecutionContext, execute_wrapper
 from wrapmend.metrics import EvalOutcome, compute_metrics
 from wrapmend.model import (
@@ -116,16 +116,11 @@ def generate_page(rng: random.Random) -> str:
 
 
 def _record_paths(page: DomTree):
-    out = []
-    stack = [((), page.root)]
-    while stack:
-        path, node = stack.pop()
-        if node.label == "div" and node.attributes.get("class") == "record":
-            out.append(path)
-        for i, c in enumerate(node.children):
-            stack.append((path + (i,), c))
-    out.sort()
-    return out
+    return [
+        path
+        for path, node in enumerate_subtrees(page, label="div")
+        if node.attributes.get("class") == "record"
+    ]
 
 
 def _authored(plan: FallbackPlan) -> FallbackPlan:

@@ -1,4 +1,4 @@
-"""Lenient HTML parsing into a positional DOM, plus a canonical serialization.
+"""Lenient HTML parsing into an element tree, plus a canonical serialization.
 
 The parser is deliberately forgiving: real pages close tags implicitly,
 interleave them wrongly, or stop mid-element, and a wrapper engine has to
@@ -70,16 +70,15 @@ def _collapse_ws(s: str) -> str:
 
 @dataclass(eq=False, init=False)
 class DomNode:
-    """One element.  Equality is structural (label, attributes, text,
-    children); positional metadata is excluded so a detached copy of a
-    subtree compares equal to the original."""
+    """One element.  A node does not know where it sits: its position is
+    the NodePath passed beside it.  Equality is structural (label,
+    attributes, text, children), so a detached copy of a subtree compares
+    equal to the original."""
 
     label: str
     attributes: dict
     text: str
     children: list
-    parent_path: Optional[NodePath]
-    sibling_index: int
 
     # Written out rather than generated: a page builds one node per element,
     # and literals are cheaper than the generated default factories.
@@ -89,34 +88,29 @@ class DomNode:
         attributes: Optional[dict] = None,
         text: str = "",
         children: Optional[list] = None,
-        parent_path: Optional[NodePath] = None,
-        sibling_index: int = 0,
     ):
         self.label = label
         self.attributes = {} if attributes is None else attributes
         self.text = text
         self.children = [] if children is None else children
-        self.parent_path = parent_path
-        self.sibling_index = sibling_index
-
-    @property
-    def path(self) -> NodePath:
-        if self.parent_path is None:
-            return ()
-        return self.parent_path + (self.sibling_index,)
 
     def __eq__(self, other):
         if not isinstance(other, DomNode):
             return NotImplemented
-        return (
-            self.label == other.label
-            and self.attributes == other.attributes
-            and self.text == other.text
-            and self.children == other.children
-        )
+        # pairwise over both walks: equal child counts at every node keep
+        # the walks in step, and no depth reaches the recursion limit
+        for (_, a), (_, b) in zip(_walk(self), _walk(other)):
+            if (
+                a.label != b.label
+                or a.attributes != b.attributes
+                or a.text != b.text
+                or len(a.children) != len(b.children)
+            ):
+                return False
+        return True
 
-    # structural eq with identity hash: nodes are used as memo keys by id,
-    # never as structural dict keys
+    # nodes are mutable, so they hash by identity even though they compare
+    # by structure
     __hash__ = object.__hash__
 
     def __repr__(self):
@@ -132,11 +126,11 @@ class DomNode:
 class DomTree:
     root: DomNode
     source_id: str = ""
-    node_count: int = 0
+    node_count: int = 0  # parse_html passes the builder's count
 
     def __post_init__(self):
         if self.node_count == 0:
-            self.node_count = _freeze(self.root)
+            self.node_count = subtree_size(self.root)
 
     def resolve(self, path: NodePath) -> DomNode:
         return resolve(self, path)
@@ -147,30 +141,13 @@ class DomTree:
         return self.root == other.root
 
 
-def _freeze(root: DomNode) -> int:
-    """Assign parent_path / sibling_index below root and return the
-    subtree's node count.  Root is treated as having no siblings."""
-    root.parent_path = None
-    root.sibling_index = 0
-    count = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        count += 1
-        path = node.path
-        for i, child in enumerate(node.children):
-            child.parent_path = path
-            child.sibling_index = i
-            stack.append(child)
-    return count
-
-
 class _TreeBuilder(HTMLParser):
     def __init__(self):
         super().__init__(convert_charrefs=True)
         # sentinel collects top-level content; resolved in finish()
         self.sentinel = DomNode("#document")
         self.stack = [self.sentinel]
+        self.count = 0  # elements created; each ends up in the tree
 
     def handle_starttag(self, tag, attrs):
         tag = tag.lower()
@@ -184,6 +161,7 @@ class _TreeBuilder(HTMLParser):
             if name not in attributes:  # first occurrence wins
                 attributes[name] = value if value is not None else ""
         node = DomNode(tag, attributes)
+        self.count += 1
         self.stack[-1].children.append(node)
         if tag not in VOID_ELEMENTS:
             self.stack.append(node)
@@ -227,6 +205,7 @@ class _TreeBuilder(HTMLParser):
             if len(top) == 1 and top[0].label == "html" and not self.sentinel.text:
                 return top[0]
             root = DomNode("html")
+            self.count += 1
             root.children = top
             root.text = self.sentinel.text
             return root
@@ -246,7 +225,7 @@ def parse_html(source, source_id: str = "") -> DomTree:
     builder.feed(source)
     builder.close()
     root = builder.finish(synthesize_root=True)
-    return DomTree(root=root, source_id=source_id)
+    return DomTree(root=root, source_id=source_id, node_count=builder.count)
 
 
 def parse_snippet(source) -> DomNode:
@@ -260,9 +239,7 @@ def parse_snippet(source) -> DomNode:
     builder = _TreeBuilder()
     builder.feed(source)
     builder.close()
-    root = builder.finish(synthesize_root=False)
-    _freeze(root)
-    return root
+    return builder.finish(synthesize_root=False)
 
 
 _TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
@@ -282,27 +259,34 @@ def serialize(node, indent: int = 2) -> str:
     if isinstance(node, DomTree):
         node = node.root
     lines = []
-    _serialize_into(node, 0, indent, lines)
+    _serialize_into(node, indent, lines)
     return "\n".join(lines) + "\n"
 
 
-def _serialize_into(node: DomNode, depth: int, indent: int, lines: list):
-    pad = " " * (indent * depth)
-    parts = [node.label]
-    for name in sorted(node.attributes):
-        parts.append('%s="%s"' % (name, _escape(node.attributes[name], _ATTR_ESCAPES)))
-    open_tag = "<" + " ".join(parts) + ">"
-    text = _escape(node.text, _TEXT_ESCAPES) if node.text else ""
-    if node.label in VOID_ELEMENTS and not node.children and not node.text:
-        lines.append(pad + "<" + " ".join(parts) + "/>")
-        return
-    if not node.children:
-        lines.append("%s%s%s</%s>" % (pad, open_tag, text, node.label))
-        return
-    lines.append(pad + open_tag + text)
-    for child in node.children:
-        _serialize_into(child, depth + 1, indent, lines)
-    lines.append("%s</%s>" % (pad, node.label))
+def _serialize_into(node: DomNode, indent: int, lines: list):
+    # the stack holds nodes still to open, with their depth, and the
+    # closing lines of the elements they sit in
+    stack = [(node, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, depth = item
+        pad = " " * (indent * depth)
+        parts = [node.label]
+        for name in sorted(node.attributes):
+            parts.append('%s="%s"' % (name, _escape(node.attributes[name], _ATTR_ESCAPES)))
+        open_tag = "<" + " ".join(parts) + ">"
+        text = _escape(node.text, _TEXT_ESCAPES) if node.text else ""
+        if node.label in VOID_ELEMENTS and not node.children and not node.text:
+            lines.append(pad + "<" + " ".join(parts) + "/>")
+        elif not node.children:
+            lines.append("%s%s%s</%s>" % (pad, open_tag, text, node.label))
+        else:
+            lines.append(pad + open_tag + text)
+            stack.append("%s</%s>" % (pad, node.label))
+            stack.extend([(c, depth + 1) for c in reversed(node.children)])
 
 
 def resolve(tree, path: NodePath) -> DomNode:
@@ -318,23 +302,22 @@ def resolve(tree, path: NodePath) -> DomNode:
 def enumerate_subtrees(tree, label: Optional[str] = None):
     """All (path, node) pairs in document order, optionally filtered by label."""
     root = tree.root if isinstance(tree, DomTree) else tree
-    out = []
-    for path, node in _walk(root):
-        if label is None or node.label == label:
-            out.append((path, node))
-    return out
+    return [(p, n) for p, n in _walk(root) if label is None or n.label == label]
 
 
-def _walk(node: DomNode, path: NodePath = ()) -> Iterator:
+def _walk(node, path: NodePath = ()) -> Iterator:
     """(path, node) for the node and every descendant, document order.
-    An explicit stack, so page depth is not bounded by the recursion limit."""
+    Reads only `.children`, so it walks any tree of such nodes.  An
+    explicit stack, so page depth is not bounded by the recursion limit."""
     stack = [(path, node)]
+    pop, extend = stack.pop, stack.extend
     while stack:
-        path, node = stack.pop()
-        yield path, node
+        item = pop()
+        yield item  # the stack's own pair: no new tuple per node
+        path, node = item
         children = node.children
-        for i in range(len(children) - 1, -1, -1):
-            stack.append((path + (i,), children[i]))
+        if children:
+            extend([(path + (i,), children[i]) for i in range(len(children) - 1, -1, -1)])
 
 
 def ancestor(tree, path: NodePath, levels: int):
@@ -354,20 +337,17 @@ def ancestor(tree, path: NodePath, levels: int):
 
 
 def detach_subtree(node: DomNode) -> DomNode:
-    """Deep copy re-rooted at the node: the copy's path is () and its
-    descendants' paths are relative to it."""
-    copy = _copy_node(node)
-    _freeze(copy)
+    """Deep copy re-rooted at the node: paths into the copy start at its
+    root.  Built with an explicit stack, so any depth copies."""
+    copy = DomNode(node.label, dict(node.attributes), node.text)
+    stack = [(node, copy)]
+    while stack:
+        src, dst = stack.pop()
+        for c in src.children:
+            child = DomNode(c.label, dict(c.attributes), c.text)
+            dst.children.append(child)
+            stack.append((c, child))
     return copy
-
-
-def _copy_node(node: DomNode) -> DomNode:
-    return DomNode(
-        label=node.label,
-        attributes=dict(node.attributes),
-        text=node.text,
-        children=[_copy_node(c) for c in node.children],
-    )
 
 
 def subtree_size(node: DomNode) -> int:

@@ -139,6 +139,11 @@ class Directive:
     trigger: Optional[str] = None
 
 
+def _candidate_thresholds(scores, low, high) -> list:
+    """The distinct scores inside [low, high] plus both ends, highest first."""
+    return sorted({s for s in scores if low <= s <= high} | {low, high}, reverse=True)
+
+
 def threshold_search(scores, constraint, threshold):
     """Highest threshold whose admitted prefix satisfies the cardinality
     constraint.  Candidates are the distinct scores inside the allowed
@@ -146,14 +151,8 @@ def threshold_search(scores, constraint, threshold):
     count).  Score order does not affect the result."""
     if not isinstance(constraint, CardinalityConstraint):
         raise ValueError("threshold_search needs a cardinality constraint")
-    if isinstance(threshold, tuple):
-        low, high = threshold
-    else:
-        low = high = threshold
-    candidates = sorted(
-        {s for s in scores if low <= s <= high} | {low, high}, reverse=True
-    )
-    for t in candidates:
+    low, high = threshold if isinstance(threshold, tuple) else (threshold, threshold)
+    for t in _candidate_thresholds(scores, low, high):
         admitted = sum(1 for s in scores if s >= t)
         if constraint.admits(admitted):
             return t, admitted
@@ -275,11 +274,7 @@ def adapt_rule(
         )
         usable = [c for c in ranked if within(c.path)]
         last_usable, last_algorithm = usable, algorithm
-        thresholds = sorted(
-            {c.score for c in usable if low <= c.score <= high} | {low, high},
-            reverse=True,
-        )
-        for t in thresholds:
+        for t in _candidate_thresholds([c.score for c in usable], low, high):
             admitted = [c for c in usable if c.score >= t]
             resolved = []
             for c in admitted:

@@ -8,11 +8,8 @@ one level down.  `_stm` counts mapped nodes; `_wtm` divides each child
 pair's score by the larger of the two sibling counts, so identical trees
 score exactly 1.0.
 
-A memo keyed by node identity holds every scored pair.  Repair scores the
-stored example against every same-label node of a page, and those
-candidates nest, so `score_against_page` shares one memo across them:
-the alignment of each (stored node, page node) pair is computed once
-per call.
+Scored pairs are not cached: on trees a (stored node, page node) pair is
+reached only from its parents' pair, so each is scored once per call.
 """
 
 from __future__ import annotations
@@ -53,18 +50,14 @@ def _key_function(labeler):
 # values, and each diagonal is the same sum.
 
 
-def _stm(a, b, labeler, memo) -> int:
+def _stm(a, b, labeler) -> int:
     key = _key_function(labeler)
     if key(a) != key(b):
         return 0
-    return _stm_eq(a, b, key, memo)
+    return _stm_eq(a, b, key)
 
 
-def _stm_eq(a, b, key, memo) -> int:
-    k = (id(a), id(b))
-    got = memo.get(k)
-    if got is not None:
-        return got
+def _stm_eq(a, b, key) -> int:
     bc = b.children
     n = len(bc)
     keys_b = [key(c) for c in bc]
@@ -80,34 +73,29 @@ def _stm_eq(a, b, key, memo) -> int:
             if keys_b[j] == ka:
                 cb = bc[j]
                 if ca.children and cb.children:
-                    diag = prev[j] + _stm_eq(ca, cb, key, memo)
+                    diag = prev[j] + _stm_eq(ca, cb, key)
                 else:
                     diag = prev[j] + 1
                 if diag > best:
                     best = diag
             row.append(best)
-    memo[k] = out = 1 + row[n]
-    return out
+    return 1 + row[n]
 
 
-def _wtm(a, b, labeler, memo) -> float:
+def _wtm(a, b, labeler) -> float:
     # Context-free form: the caller divides by its own sibling-group size,
     # so this returns the score as if a and b were roots (t = 1).
     key = _key_function(labeler)
     if key(a) != key(b):
         return 0.0
-    return _wtm_eq(a, b, key, memo)
+    return _wtm_eq(a, b, key)
 
 
-def _wtm_eq(a, b, key, memo) -> float:
+def _wtm_eq(a, b, key) -> float:
     ac, bc = a.children, b.children
     m, n = len(ac), len(bc)
     if m == 0 or n == 0:
         return 1.0
-    k = (id(a), id(b))
-    got = memo.get(k)
-    if got is not None:
-        return got
     denom = float(max(m, n))
     keys_b = [key(c) for c in bc]
     row = [0.0] * (n + 1)
@@ -122,14 +110,13 @@ def _wtm_eq(a, b, key, memo) -> float:
             if keys_b[j] == ka:
                 cb = bc[j]
                 if ca.children and cb.children:
-                    diag = prev[j] + _wtm_eq(ca, cb, key, memo) / denom
+                    diag = prev[j] + _wtm_eq(ca, cb, key) / denom
                 else:
                     diag = prev[j] + 1.0 / denom
                 if diag > best:
                     best = diag
             row.append(best)
-    memo[k] = out = row[n]
-    return out
+    return row[n]
 
 
 def score_against_page(stored: DomNode, page: DomTree, labeler, algorithm: str) -> list:
@@ -138,11 +125,10 @@ def score_against_page(stored: DomNode, page: DomTree, labeler, algorithm: str) 
     simple scores are normalized match counts, 2*STM / (|a| + |b|).
     Document order."""
     key = labeler.key(stored)
-    memo: dict = {}
     walk = list(_walk(page.root))
     if algorithm == "weighted":
         return [
-            (path, _wtm(stored, node, labeler, memo))
+            (path, _wtm(stored, node, labeler))
             for path, node in walk
             if labeler.key(node) == key
         ]
@@ -153,7 +139,7 @@ def score_against_page(stored: DomNode, page: DomTree, labeler, algorithm: str) 
         sizes[id(node)] = 1 + sum(sizes[id(c)] for c in node.children)
     size_a = subtree_size(stored)
     return [
-        (path, 2.0 * _stm(stored, node, labeler, memo) / (size_a + sizes[id(node)]))
+        (path, 2.0 * _stm(stored, node, labeler) / (size_a + sizes[id(node)]))
         for path, node in walk
         if labeler.key(node) == key
     ]

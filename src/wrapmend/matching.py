@@ -16,8 +16,7 @@ labels compared through a `Labeler`:
   raw node count.
 
 The dynamic programs live in `wrapmend.kernels`; best_matches ranks a
-page's candidates with `kernels.score_against_page`, which shares one
-memo across them.
+page's candidates with `kernels.score_against_page`.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ class RankedCandidate:
 
 def simple_tree_matching(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LABELER) -> int:
     """Size of the largest top-down order-preserving mapping, roots included."""
-    return _stm(a, b, labeler, {})
+    return _stm(a, b, labeler)
 
 
 def weighted_tree_matching(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LABELER) -> float:
@@ -110,7 +109,7 @@ def weighted_tree_matching(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LA
     score does not depend on where either subtree sat in its source page;
     sibling counts weight the recursion below the roots.
     """
-    return _wtm(a, b, labeler, {})
+    return _wtm(a, b, labeler)
 
 
 def normalized_stm(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LABELER) -> float:
@@ -119,7 +118,7 @@ def normalized_stm(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LABELER) -
     Gives the simple algorithm a score comparable against thresholds and
     min_score, which are defined on the unit interval.
     """
-    return 2.0 * _stm(a, b, labeler, {}) / (subtree_size(a) + subtree_size(b))
+    return 2.0 * _stm(a, b, labeler) / (subtree_size(a) + subtree_size(b))
 
 
 def match_tables(
@@ -129,15 +128,14 @@ def match_tables(
     _check_algorithm(algorithm)
     m, n = len(a.children), len(b.children)
     W = np.zeros((m, n), dtype=np.float64)
-    memo: dict = {}
     if labeler.key(a) == labeler.key(b):
         denom = float(max(m, n)) if m and n else 1.0
         for i in range(m):
             for j in range(n):
                 if algorithm == "weighted":
-                    W[i, j] = _wtm(a.children[i], b.children[j], labeler, memo) / denom
+                    W[i, j] = _wtm(a.children[i], b.children[j], labeler) / denom
                 else:
-                    W[i, j] = _stm(a.children[i], b.children[j], labeler, memo)
+                    W[i, j] = _stm(a.children[i], b.children[j], labeler)
     M = np.zeros((m + 1, n + 1), dtype=np.float64)
     for i in range(1, m + 1):
         for j in range(1, n + 1):

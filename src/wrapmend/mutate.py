@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from wrapmend.dom import DomNode, DomTree, _P_CLOSERS
+from wrapmend.dom import DomNode, DomTree, _P_CLOSERS, _walk
 
 OPERATIONS = (
     "rename_attribute",
@@ -168,17 +168,13 @@ def mutate_tree(tree: DomTree, spec: MutationSpec):
     # selection pass on the pristine mirror, one rate draw per node
     selected = []
     uids = []
-
-    def collect(node, depth):
+    for path, node in _walk(root):
         uids.append(node.uid)
         if rng.random() < spec.rate:
+            depth = len(path)
             ops = [op for op in spec.operations if _applicable(op, node, depth)]
             if ops:
                 selected.append((node, rng.choice(ops), depth))
-        for c in node.children:
-            collect(c, depth + 1)
-
-    collect(root, 0)
 
     for node, op, depth in selected:
         # earlier operations may have detached this node or changed its shape
@@ -191,15 +187,7 @@ def mutate_tree(tree: DomTree, spec: MutationSpec):
     new_root = _rebuild(root)
     mutated = DomTree(root=new_root, source_id=tree.source_id)
 
-    final = {}
-
-    def walk(node, path):
-        if node.uid is not None:
-            final[node.uid] = path
-        for i, c in enumerate(node.children):
-            walk(c, path + (i,))
-
-    walk(root, ())
+    final = {node.uid: path for path, node in _walk(root) if node.uid is not None}
     truth = {uid: final.get(uid) for uid in uids}
     return mutated, truth
 

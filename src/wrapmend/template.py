@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from wrapmend.dom import DomNode, DomTree
+from wrapmend.dom import DomNode, DomTree, _walk
 from wrapmend.matching import DEFAULT_LABELER, Labeler
 
 EXACTLY_ONE = "exactly_one"
@@ -335,16 +335,7 @@ def template_match(
 ) -> list:
     """Paths of all nodes the template accepts, document order."""
     root = tree.root if isinstance(tree, DomTree) else tree
-    out = []
-    stack = [((), root)]
-    while stack:
-        path, node = stack.pop()
-        if _accepts(template, node, labeler):
-            out.append(path)
-        for i, c in enumerate(node.children):
-            stack.append((path + (i,), c))
-    out.sort()
-    return out
+    return [path for path, node in _walk(root) if _accepts(template, node, labeler)]
 
 
 def _accepts(t: TreeTemplate, node: DomNode, labeler: Labeler) -> bool:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from wrapmend.dom import DomTree, NodePath, resolve, subtree_text
+from wrapmend.dom import DomTree, NodePath, _walk, resolve, subtree_text
 from wrapmend.constraints import validate_results
 
 
@@ -228,33 +228,25 @@ def evaluate(expr: XPathExpr, tree: DomTree, context_path: Optional[NodePath] = 
     return [p for p in current if p is not _DOCUMENT]
 
 
-def _children_group(tree, path, node):
+def _children_group(path, node):
     return [(path + (i,), c) for i, c in enumerate(node.children)]
 
 
 def _candidate_groups(tree: DomTree, ctx, axis: str):
     """Candidate nodes for one step, grouped per parent: position
-    predicates count within a group, exactly like child:: nodelists."""
+    predicates count within a group, exactly like child:: nodelists.
+    Groups come in document order of their parents."""
     if ctx is _DOCUMENT:
         root_group = [((), tree.root)]
         if axis == "child":
             return [root_group]
-        groups = [root_group]
-        stack = [((), tree.root)]
-    else:
-        node = resolve(tree, ctx)
-        if axis == "child":
-            return [_children_group(tree, ctx, node)]
-        groups = []
-        stack = [(tuple(ctx), node)]
-    while stack:
-        path, node = stack.pop()
-        group = _children_group(tree, path, node)
-        if group:
-            groups.append(group)
-            stack.extend(group)
-    groups.sort(key=lambda g: g[0][0])
-    return groups
+        return [root_group] + [
+            _children_group(p, n) for p, n in _walk(tree.root) if n.children
+        ]
+    node = resolve(tree, ctx)
+    if axis == "child":
+        return [_children_group(ctx, node)]
+    return [_children_group(p, n) for p, n in _walk(node, ctx) if n.children]
 
 
 def _filter_predicate(group, pred):
@@ -289,7 +281,7 @@ def detect_anchors(tree: DomTree) -> list:
     tables that are not nested in other tables, and the main content
     block (deepest element holding at least half of the page's text)."""
     anchors = []
-    nodes = _all_nodes(tree)
+    nodes = list(_walk(tree.root))
 
     id_count: dict = {}
     for _, node in nodes:
@@ -315,18 +307,6 @@ def detect_anchors(tree: DomTree) -> list:
 
     anchors.sort(key=lambda a: (a.path, a.kind))
     return anchors
-
-
-def _all_nodes(tree: DomTree):
-    out = []
-    stack = [((), tree.root)]
-    while stack:
-        path, node = stack.pop()
-        out.append((path, node))
-        for i, c in enumerate(node.children):
-            stack.append((path + (i,), c))
-    out.sort(key=lambda it: it[0])
-    return out
 
 
 def _has_ancestor_label(tree, path, label) -> bool:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wrapmend.dom import DomNode, DomTree, _freeze
+from wrapmend.dom import DomNode, DomTree
 
 # Labels chosen so that randomly nested structures survive an HTML
 # round trip: no implied-close pairs among them.
@@ -40,11 +40,6 @@ def random_node(rng: random.Random, max_depth=4, max_branch=4, labels=SAFE_LABEL
 
 def random_tree(rng: random.Random, **kw) -> DomTree:
     return DomTree(root=random_node(rng, **kw))
-
-
-def freeze(node: DomNode) -> DomNode:
-    _freeze(node)
-    return node
 
 
 def random_wrapper(rng: random.Random, name=None):

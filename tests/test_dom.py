@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -253,7 +254,6 @@ class TestAccessors:
         copy = detach_subtree(div)
         assert copy == div
         assert copy is not div
-        assert copy.parent_path is None
         copy.children[0].text = "changed"
         assert div.children[0].text == "a"
 
@@ -270,4 +270,46 @@ class TestAccessors:
         div2 = resolve(t2, (0, 0, 0))
         assert div1 == div2
         assert DomNode("a") != DomNode("b")
+        assert build_node("a", build_node("b")) != build_node("a")
+        assert build_node("a", build_node("b", text="x")) != build_node("a", build_node("b"))
         assert build_node("a", text="t") != build_node("a", text="u")
+
+
+def deep_page(depth: int) -> str:
+    """A chain of `depth` divs, each owning text and a class."""
+    opened = "".join('<div class="c%d">t%d' % (i % 3, i) for i in range(depth))
+    return "<html><body>%s%s</body></html>" % (opened, "</div>" * depth)
+
+
+@pytest.mark.parametrize("depth", [1200, 3000])
+class TestDeepPages:
+    def test_serialize_round_trip_is_a_fixed_point(self, depth):
+        tree = parse_html(deep_page(depth))
+        assert tree.node_count == depth + 2
+        text = serialize(tree)
+        again = parse_html(text)
+        assert serialize(again) == text
+        assert again.node_count == tree.node_count
+
+    def test_detached_copy_equals_and_is_independent(self, depth):
+        tree = parse_html(deep_page(depth))
+        copy = detach_subtree(tree.root)
+        assert copy == tree.root
+        leaf = (0,) * (depth + 1)
+        resolve(copy, leaf).text = "changed"
+        assert copy != tree.root
+        assert resolve(tree, leaf).text == "t%d" % (depth - 1)
+
+
+def test_deep_page_keeps_little_memory():
+    # a node holds no path of its own, so a d-deep chain keeps O(d)
+    # memory, not O(d^2) path entries
+    source = "<div>" * 3000 + "</div>" * 3000
+    tracemalloc.start()
+    try:
+        tree = parse_html(source)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tree.node_count == 3001
+    assert kept < 5 * 2**20, kept

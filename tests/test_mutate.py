@@ -1,8 +1,14 @@
 """Mutation harness: determinism, per-operation semantics, truth validity."""
 
+import hashlib
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from conftest import random_tree
+from wrapmend.corpus import DEFAULT_RATE, SCENARIOS, generate_page
 from wrapmend.dom import parse_html, resolve, serialize
 from wrapmend.mutate import (
     OPERATIONS,
@@ -173,3 +179,38 @@ class TestJsonEncoding:
     def test_truth_jsonable_round_trip(self):
         truth = {(): (), (0, 1): (0, 2), (0, 3): None}
         assert truth_from_jsonable(truth_to_jsonable(truth)) == truth
+
+
+GOLDEN_PATH = Path(__file__).with_name("golden_mutations.json")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def golden_mutations():
+    """sha256 of the mutated page and of its truth map, per scenario and
+    mutation seed, on one corpus listing at the corpus rate."""
+    tree = parse_html(generate_page(random.Random(0)))
+    out = {}
+    for scenario, operations in SCENARIOS:
+        for seed in range(5):
+            spec = MutationSpec(operations=operations, seed=seed, rate=DEFAULT_RATE)
+            mutated, truth = mutate_tree(tree, spec)
+            out["%s/%d" % (scenario, seed)] = {
+                "page": _sha256(serialize(mutated)),
+                "truth": _sha256(json.dumps(truth_to_jsonable(truth), sort_keys=True)),
+            }
+    return out
+
+
+class TestGolden:
+    def test_mutations_equal_recorded_digests(self):
+        # recorded before the mutator's walks were rewritten: every rng
+        # draw must still happen in the same order on the same node
+        assert golden_mutations() == json.loads(GOLDEN_PATH.read_text())
+
+
+if __name__ == "__main__":
+    # regenerate the recorded digests: python3 tests/test_mutate.py
+    GOLDEN_PATH.write_text(json.dumps(golden_mutations(), indent=1, sort_keys=True) + "\n")
