@@ -212,5 +212,5 @@ class TestGolden:
 
 
 if __name__ == "__main__":
-    # regenerate the recorded digests: python3 tests/test_mutate.py
+    # regenerate the recorded digests: PYTHONPATH=src python3 tests/test_mutate.py
     GOLDEN_PATH.write_text(json.dumps(golden_mutations(), indent=1, sort_keys=True) + "\n")
