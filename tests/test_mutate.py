@@ -206,8 +206,8 @@ def golden_mutations():
 
 class TestGolden:
     def test_mutations_equal_recorded_digests(self):
-        # recorded before the mutator's walks were rewritten: every rng
-        # draw must still happen in the same order on the same node
+        # any change in the order of the rng draws, or in the nodes they
+        # land on, changes these digests
         assert golden_mutations() == json.loads(GOLDEN_PATH.read_text())
 
 
