@@ -6,6 +6,14 @@ produce *some* stable tree for all of them.  Recovery follows the common
 browser conventions (void elements, implied end tags, synthesized html
 root) without attempting full spec-grade tree construction.
 
+Markup is read by a regex tokenizer while it stays inside a strict subset:
+text without "<", start tags whose attributes are all name="value" (no
+"<" in the value), and end tags.  That covers what serialize writes,
+script and style aside, and what corpus.generate_page writes.  From the
+first markup outside the subset, or from a script or style start tag,
+html.parser reads the rest of the page.  Both readers feed the same
+tree-building handlers, so they build the same tree.
+
 Only elements become nodes.  Text is attached to its owning element with
 runs of whitespace collapsed, so that parse -> serialize -> parse is a
 fixed point even though the serializer indents.
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from html import unescape
 from html.parser import HTMLParser
 from typing import Iterator, Optional
 
@@ -62,6 +71,20 @@ CLOSES_ON_START: dict = {
 }
 for _tag in _P_CLOSERS:
     CLOSES_ON_START.setdefault(_tag, set()).add("p")
+
+
+# The tokenizer's subset.  Names take the characters of html.parser's
+# end-tag pattern.  Whitespace is the five characters html.parser ends a
+# tag name on: \s would also take \v and Unicode spaces, which html.parser
+# reads as part of the name.
+_WS = r"[ \t\n\r\f]"
+_NAME = "[a-zA-Z][-.a-zA-Z0-9:_]*"
+_TOKEN = re.compile(
+    "([^<]+)"  # 1: text
+    '|<(%s)((?:%s+%s="[^"<]*")*)%s*(/?)>'  # 2: tag, 3: attributes, 4: "/"
+    "|</(%s)%s*>" % (_NAME, _WS, _NAME, _WS, _NAME, _WS)  # 5: end tag
+)
+_ATTR = re.compile('%s+(%s)="([^"<]*)"' % (_WS, _NAME))
 
 
 def _collapse_ws(s: str) -> str:
@@ -142,6 +165,11 @@ class DomTree:
 
 
 class _TreeBuilder(HTMLParser):
+    """Builds the tree from tokens.  `parse` reads what it can with
+    `_TOKEN` and leaves the rest to html.parser.  The tree-building rules
+    live only in the handlers, which both readers call with tag and
+    attribute names lowercased."""
+
     def __init__(self):
         super().__init__(convert_charrefs=True)
         # sentinel collects top-level content; resolved in finish()
@@ -149,15 +177,49 @@ class _TreeBuilder(HTMLParser):
         self.stack = [self.sentinel]
         self.count = 0  # elements created; each ends up in the tree
 
+    def parse(self, source: str) -> None:
+        """Read a whole document and close it."""
+        m = None
+        for m in iter(_TOKEN.scanner(source).match, None):
+            kind = m.lastindex
+            if kind == 1:
+                text = m.group(1)
+                self.handle_data(unescape(text) if "&" in text else text)
+            elif kind == 5:
+                self.handle_endtag(m.group(5).lower())
+            else:
+                tag, attrs, slash = m.group(2, 3, 4)
+                tag = tag.lower()
+                if tag in RAWTEXT_ELEMENTS:
+                    pos = m.start()  # raw text is html.parser's to read
+                    break
+                pairs = _ATTR.findall(attrs)
+                # names arrive lowercased and values unescaped, as from
+                # html.parser; most attributes need neither
+                if pairs and ("&" in attrs or not attrs.islower()):
+                    pairs = [(n.lower(), unescape(v)) for n, v in pairs]
+                if slash:
+                    self.handle_startendtag(tag, pairs)
+                else:
+                    self.handle_starttag(tag, pairs)
+        else:
+            pos = 0 if m is None else m.end()
+        if pos < len(source):
+            # Every token so far ended outside raw text, where html.parser
+            # keeps no state between tokens: `rawdata` is empty and
+            # `cdata_elem` is None (`lasttag` is written but never read).
+            # So it reads the rest exactly as it would have read it as
+            # part of the whole document.
+            self.feed(source[pos:])
+        self.close()
+
     def handle_starttag(self, tag, attrs):
-        tag = tag.lower()
         closers = CLOSES_ON_START.get(tag)
         if closers:
             while len(self.stack) > 1 and self.stack[-1].label in closers:
                 self.stack.pop()
         attributes = {}
         for name, value in attrs:
-            name = name.lower()
             if name not in attributes:  # first occurrence wins
                 attributes[name] = value if value is not None else ""
         node = DomNode(tag, attributes)
@@ -167,13 +229,11 @@ class _TreeBuilder(HTMLParser):
             self.stack.append(node)
 
     def handle_startendtag(self, tag, attrs):
-        tag = tag.lower()
         self.handle_starttag(tag, attrs)
         if tag not in VOID_ELEMENTS and self.stack[-1].label == tag:
             self.stack.pop()
 
     def handle_endtag(self, tag):
-        tag = tag.lower()
         for i in range(len(self.stack) - 1, 0, -1):
             if self.stack[i].label == tag:
                 del self.stack[i:]
@@ -222,8 +282,7 @@ def parse_html(source, source_id: str = "") -> DomTree:
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
     builder = _TreeBuilder()
-    builder.feed(source)
-    builder.close()
+    builder.parse(source)
     root = builder.finish(synthesize_root=True)
     return DomTree(root=root, source_id=source_id, node_count=builder.count)
 
@@ -237,8 +296,7 @@ def parse_snippet(source) -> DomNode:
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
     builder = _TreeBuilder()
-    builder.feed(source)
-    builder.close()
+    builder.parse(source)
     return builder.finish(synthesize_root=False)
 
 
@@ -351,7 +409,15 @@ def detach_subtree(node: DomNode) -> DomNode:
 
 
 def subtree_size(node: DomNode) -> int:
-    return sum(1 for _ in _walk(node))
+    """Elements in the subtree, the node included.  A plain child stack:
+    counting needs no paths."""
+    count = 0
+    stack = [node]
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        count += 1
+        extend(pop().children)
+    return count
 
 
 def subtree_text(node: DomNode) -> str:

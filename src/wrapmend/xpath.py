@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from wrapmend.dom import DomTree, NodePath, _walk, resolve, subtree_text
+from wrapmend.dom import DomTree, NodePath, _walk, resolve
 from wrapmend.constraints import validate_results
 
 
@@ -297,11 +297,21 @@ def detect_anchors(tree: DomTree) -> list:
         if node.label == "table" and not _has_ancestor_label(tree, path, "table"):
             anchors.append(AnchorPoint(path=path, kind="outermost_table"))
 
-    total = len(subtree_text(tree.root))
+    # len(subtree_text(node)) + 1 for every node, 0 where the subtree has
+    # no text, in one bottom-up pass: each owned text counts its length
+    # plus one joining space, and the last one has no space after it
+    spaced = {}
+    for _, node in reversed(nodes):
+        n = len(node.text) + 1 if node.text else 0
+        for child in node.children:
+            n += spaced[child]
+        spaced[node] = n
+
+    total = spaced[tree.root] - 1
     if total > 0:
         best_path = ()
         for path, node in nodes:
-            if len(subtree_text(node)) * 2 >= total and len(path) > len(best_path):
+            if (spaced[node] - 1) * 2 >= total and len(path) > len(best_path):
                 best_path = path
         anchors.append(AnchorPoint(path=best_path, kind="main_content"))
 
@@ -640,14 +650,14 @@ def apply_plan(
                 attempts.append((entry.tag, variant))
         else:
             attempts.append((entry.tag, entry.expr))
-    tried = []
     for tag, expr in attempts:
         paths = evaluate(expr, tree, context_path)
-        tried.append((tag, expr.to_string()))
         results = [(p, resolve(tree, p).text) for p in paths]
         if constraints:
             if not validate_results(results, constraints):
                 return paths, tag
         elif paths:
             return paths, tag
+    # every locator failed; they are stringified only for the error
+    tried = [(tag, expr.to_string()) for tag, expr in attempts]
     raise PlanExhausted("no locator satisfied the constraints", tried=tried)

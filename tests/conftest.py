@@ -42,6 +42,25 @@ def random_tree(rng: random.Random, **kw) -> DomTree:
     return DomTree(root=random_node(rng, **kw))
 
 
+def scenario_pages(cases: int = 2) -> list:
+    """For each corpus scenario and case, the intact listing as
+    corpus.generate_page writes it and the damaged page as mutate_tree and
+    serialize write it; seeds as corpus.build_corpus draws them."""
+    from wrapmend.corpus import DEFAULT_RATE, SCENARIOS, generate_page
+    from wrapmend.dom import parse_html, serialize
+    from wrapmend.mutate import MutationSpec, mutate_tree
+
+    pages = []
+    for s_idx, (_, operations) in enumerate(SCENARIOS):
+        for case in range(cases):
+            seed = s_idx * 1000 + case
+            html = generate_page(random.Random(seed))
+            spec = MutationSpec(operations=operations, seed=seed + 500, rate=DEFAULT_RATE)
+            mutated, _ = mutate_tree(parse_html(html), spec)
+            pages += [html, serialize(mutated)]
+    return pages
+
+
 def random_wrapper(rng: random.Random, name=None):
     """A structurally varied wrapper for serialization/persistence tests."""
     from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint

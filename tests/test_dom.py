@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
+from html.parser import HTMLParser
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wrapmend.corpus import author_wrapper, generate_page
 from wrapmend.dom import (
     DomNode,
     ParseError,
     PathError,
+    _TreeBuilder,
     ancestor,
     detach_subtree,
     enumerate_subtrees,
@@ -19,8 +24,30 @@ from wrapmend.dom import (
     subtree_size,
     subtree_text,
 )
+from wrapmend.model import wrapper_from_dict, wrapper_json
 
-from conftest import build_node, random_tree
+from conftest import build_node, random_tree, scenario_pages
+
+# the malformed and edge-case sources of TestParse and TestSnippet
+MALFORMED = (
+    "",
+    "<div>a</div><div>b</div>",
+    "<div><b>a<i>b</div>",
+    "<ul><li>one<li>two<li>three</ul>",
+    "<body><p>one<p>two<div>three</div></body>",
+    "<table><tr><td>a<td>b<tr><td>c</table>",
+    "<div><br><img src='x.png'><span>s</span></div>",
+    "<div></span><p>x</p></div>",
+    "<div><span><b>x</div><p>y</p>",
+    '<div ID="a" id="b" CLASS="c" hidden>t</div>',
+    "<!DOCTYPE html><html><!-- hi --><body>x</body></html>",
+    "<body><script>if (a<b) { x(); }</script><p>k</p></body>",
+    "<p>  hello \n\t world  </p>",
+    "<div>\n  <p>x</p>\n</div>",
+    "<p>a &amp; b &lt;tag&gt;</p>",
+    "<div></div><div></div>",
+    "<td>cell</td>",
+)
 
 
 class TestParse:
@@ -263,6 +290,13 @@ class TestAccessors:
         assert subtree_size(div) == 4
         assert subtree_text(div) == "a b c d"
 
+    def test_subtree_size_counts_every_node(self):
+        rng = random.Random(5)
+        roots = [random_tree(rng, max_depth=5, max_branch=4).root for _ in range(30)]
+        roots += [parse_html(src).root for src in scenario_pages(cases=1)]
+        for root in roots:
+            assert subtree_size(root) == len(enumerate_subtrees(root))
+
     def test_structural_equality_ignores_position(self):
         t1 = parse_html("<div><p>x</p></div>")
         t2 = parse_html("<body><section><div><p>x</p></div></section></body>")
@@ -313,3 +347,123 @@ def test_deep_page_keeps_little_memory():
         tracemalloc.stop()
     assert tree.node_count == 3001
     assert kept < 5 * 2**20, kept
+
+
+def _html_parser_alone(source):
+    """The builder fed by html.parser only: parse_html's root and node
+    count, and parse_snippet's root or its error."""
+    builder = _TreeBuilder()
+    builder.feed(source)
+    builder.close()
+    try:
+        snippet = builder.finish(synthesize_root=False)
+    except ParseError as e:
+        snippet = repr(e)
+    root = builder.finish(synthesize_root=True)
+    return root, builder.count, snippet
+
+
+def assert_reads_as_html_parser(source):
+    tree = parse_html(source)
+    root, count, snippet = _html_parser_alone(source)
+    assert tree.root == root, source
+    assert tree.node_count == count, source
+    try:
+        got = parse_snippet(source)
+    except ParseError as e:
+        got = repr(e)
+    assert got == snippet, source
+
+
+# Tag soup around the edges of the tokenizer's subset: quoting, case,
+# whitespace that html.parser does not end a name on (\v, \xa0), names it
+# reads differently, raw text, comments, stray "<" and bare "&".  A
+# document is a run of tokens from the subset and then any tokens, so
+# that what follows the run is met by the tokenizer, not by html.parser.
+_NAMES = (("div", "DIV", "p", "Li", "ul", "td", "TR", "table", "br", "IMG",
+           "span", "b", "h1", "option", "x-Y:z.w_", "script", "Style"),
+          ("x'y", "\xe9", "a\x00"))
+_ATTR_SEPS = ((" ", "\n", "\t\r", "\f "), ("\v", "\xa0", "/", ""))
+_ATTR_NAMES = (("class", "ID", "Data-X", "a:b"), ("_u", "@c", "x y", ""))
+_ATTR_VALUES = (('="v"', '="V w"', '=""', '="a&amp;b"', '="a&b"', '="a>b"', '="\n"'),
+                ("='v'", "=v", "", '="<"', ' = "v"', '=="v"'))
+_START_ENDS = ((">", "/>", " >", " />", "\n>"), ("\v>", "/ >", "", " "))
+_END_ENDS = ((">", " >", "\n>"), ("\v>", " x>", ""))
+_TEXTS = ("ab &;#x41>\n \t\xa0\x00\xe9", "<")
+
+
+def _soup_token(edge):
+    def pick(choices):
+        return st.sampled_from(choices[0] + choices[1] if edge else choices[0])
+
+    attr = st.builds(lambda *parts: "".join(parts),
+                     pick(_ATTR_SEPS), pick(_ATTR_NAMES), pick(_ATTR_VALUES))
+    start = st.builds(lambda name, attrs, end: "<" + name + "".join(attrs) + end,
+                      pick(_NAMES), st.lists(attr, max_size=3), pick(_START_ENDS))
+    end = st.builds(lambda name, end: "</" + name + end, pick(_NAMES), pick(_END_ENDS))
+    text = st.text(alphabet="".join(_TEXTS) if edge else _TEXTS[0], min_size=1, max_size=6)
+    tokens = [start, end, text]
+    if edge:
+        tokens.append(st.sampled_from(
+            ("<!-- c -->", "<!--", "<!DOCTYPE html>", "<?pi?>", "<![CDATA[x]]>",
+             "</>", "< p>", "&amp;", "&lt", "&#60;", "&#x3c;", "&", "<", ">")))
+    return st.one_of(tokens)
+
+
+TAG_SOUP = st.builds(
+    lambda run, rest: "".join(run + rest),
+    st.lists(_soup_token(edge=False), max_size=10),
+    st.lists(_soup_token(edge=True), max_size=10),
+)
+
+
+class TestTokenizer:
+    """parse_html and parse_snippet read markup with a regex tokenizer and
+    hand html.parser what it cannot read; html.parser alone is the oracle."""
+
+    def test_corpus_pages_and_their_serializations(self):
+        for source in scenario_pages():
+            assert_reads_as_html_parser(source)
+            assert_reads_as_html_parser(serialize(parse_html(source)))
+
+    @pytest.mark.parametrize("source", MALFORMED)
+    def test_malformed_fixtures(self, source):
+        assert_reads_as_html_parser(source)
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(TAG_SOUP)
+    def test_tag_soup(self, source):
+        assert_reads_as_html_parser(source)
+
+    def test_library_markup_needs_no_html_parser(self, monkeypatch):
+        # the markup the library writes stays inside the tokenizer's
+        # subset: if a regex edit pushed it out, parsing would still be
+        # right but as slow as html.parser
+        listings = [generate_page(random.Random(seed)) for seed in range(5)]
+        wrapper = wrapper_json(author_wrapper(parse_html(listings[0])))
+        damaged = scenario_pages()[1::2]
+        rng = random.Random(11)
+        fragments = [
+            serialize(random_tree(rng, max_depth=3, with_text=True, with_attrs=True))
+            for _ in range(20)
+        ]
+        # serialize writes void elements self-closed; raw text is html.parser's
+        fragments += [serialize(parse_html(s)) for s in MALFORMED if "<script" not in s]
+
+        def refuse(parser, data):
+            raise AssertionError("html.parser was handed %r" % data[:80])
+
+        monkeypatch.setattr(HTMLParser, "feed", refuse)
+        for source in listings + damaged:
+            assert parse_html(source).node_count > 1
+        assert wrapper_from_dict(json.loads(wrapper)).root_rules
+        for source in fragments:
+            parse_snippet(source)
+
+    def test_handover_is_used_outside_the_subset(self, monkeypatch):
+        fed = []
+        feed = HTMLParser.feed
+        monkeypatch.setattr(HTMLParser, "feed", lambda p, data: fed.append(data) or feed(p, data))
+        tree = parse_html("<div><p>a</p><script>x<y</script><b>c</b></div>")
+        assert fed == ["<script>x<y</script><b>c</b></div>"]
+        assert [c.label for c in tree.root.children[0].children] == ["p", "script", "b"]

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 
-from wrapmend.dom import enumerate_subtrees, parse_html, resolve
+from wrapmend.dom import DomTree, enumerate_subtrees, parse_html, resolve, subtree_text
 from wrapmend.constraints import DatatypeConstraint, at_least_one, exactly_one
 from wrapmend.xpath import (
     AttrEquals,
@@ -21,6 +24,8 @@ from wrapmend.xpath import (
     parse_xpath,
     relaxation_variants,
 )
+
+from conftest import random_node, scenario_pages
 
 PAGE_SOURCE = """
 <html>
@@ -225,6 +230,39 @@ class TestAnchors:
         bare = parse_html("<html><body><div></div></body></html>")
         kinds = {a.kind for a in detect_anchors(bare)}
         assert "main_content" not in kinds
+
+    def test_main_content_equals_the_subtree_text_formula(self):
+        rng = random.Random(3)
+        trees = [parse_html(src) for src in scenario_pages()]
+        trees += [
+            DomTree(root=random_node(rng, max_depth=4, with_text=rng.random() < 0.8))
+            for _ in range(60)
+        ]
+        for tree in trees:
+            # the deepest node holding at least half of the page's text,
+            # measured as subtree_text measures it
+            total = len(subtree_text(tree.root))
+            want = []
+            if total > 0:
+                best = ()
+                for path, node in enumerate_subtrees(tree):
+                    if len(subtree_text(node)) * 2 >= total and len(path) > len(best):
+                        best = path
+                want = [best]
+            got = [a.path for a in detect_anchors(tree) if a.kind == "main_content"]
+            assert got == want
+
+    def test_deep_chain_is_fast(self):
+        depth = 2000
+        page = parse_html("<div>t" * depth + "</div>" * depth)
+        start = time.perf_counter()
+        anchors = detect_anchors(page)
+        elapsed = time.perf_counter() - start
+        # chain node i holds 2 * (depth - i) - 1 of the 2 * depth - 1
+        # characters, at least half while i <= 999; it sits at path
+        # (0,) * (i + 1) under the synthesized root
+        assert [a.path for a in anchors if a.kind == "main_content"] == [(0,) * 1000]
+        assert elapsed < 1.0, elapsed
 
 
 class TestGeneratePlan:
