@@ -37,14 +37,11 @@ from wrapmend.engine import (
     adapt_rule,
     execute_wrapper,
     threshold_search,
-    trigger_cascade,
 )
 from wrapmend.matching import (
     Labeler,
-    MatchComputation,
     RankedCandidate,
     best_matches,
-    match_tables,
     normalized_stm,
     simple_tree_matching,
     weighted_tree_matching,

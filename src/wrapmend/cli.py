@@ -19,7 +19,7 @@ import pathlib
 import sys
 from dataclasses import replace
 
-from .corpus import DEFAULT_RATE, evaluate_corpus, with_algorithm
+from .corpus import DEFAULT_RATE, evaluate_corpus, flatten_results, with_algorithm
 from .dom import parse_html, serialize
 from .engine import ExecutionContext, execute_wrapper
 from .model import WrapperFormatError, load_wrapper
@@ -78,15 +78,6 @@ def _delta_line(report) -> str:
     if report.template_action != "none":
         bits.append("template %s" % report.template_action)
     return "; ".join(bits) or "no config change"
-
-
-def _count_matches(results) -> int:
-    n = 0
-    for r in results:
-        n += len(r.matches)
-        for kids in r.children:
-            n += _count_matches(kids)
-    return n
 
 
 def cmd_run(args) -> int:
@@ -151,7 +142,8 @@ def cmd_run(args) -> int:
             print(text)
     else:
         print("%s v%d: %s" % (wrapper.name, wrapper.version, status))
-        print("matches: %d  repairs: %d" % (_count_matches(results), len(reports)))
+        matches = sum(len(paths) for paths in flatten_results(results).values())
+        print("matches: %d  repairs: %d" % (matches, len(reports)))
         for r in reports:
             print(
                 "  %s [%s] %s: %s"

@@ -15,12 +15,14 @@ constraints; a violation triggers the adaptation pipeline:
   4. if configured, the stored example and locator plan are regenerated
      from the top-ranked match and the chosen threshold is written back.
 
-Failures feed the trigger cascade: bottom_up refreshes the parent rule
-once per execution and retries, process_flow advances to the next bundle
-page and retries from plan application, and a successful adaptation with
-top_down re-attributes any resulting child adaptations.  The input
-wrapper value is never modified; accumulated rule changes produce a new
-wrapper with version + 1.
+The executor applies the trigger cascade as it evaluates.  When every
+result of a child rule with bottom_up fails, its parent is force-adapted
+once per execution and the children are evaluated again.  When a rule
+with process_flow cannot be repaired, the next bundle page is tried,
+from plan application on.  When a rule with top_down adapted, its direct
+children's adaptations are reported as top_down unless they opted out.
+The input wrapper value is never modified; accumulated rule changes
+produce a new wrapper with version + 1.
 """
 
 from __future__ import annotations
@@ -86,9 +88,10 @@ class ExtractionResult:
     matches: tuple = ()  # of (NodePath, text)
     children: tuple = ()  # per match: tuple of child ExtractionResults
     status: str = "ok"  # ok | adapted | failed
+    page: int = 0  # index in ExecutionContext.pages that the paths resolve on
 
     def to_dict(self) -> dict:
-        out = {"rule": self.rule_name, "status": self.status, "matches": []}
+        out = {"rule": self.rule_name, "status": self.status, "page": self.page, "matches": []}
         for i, (path, text) in enumerate(self.matches):
             kids = self.children[i] if i < len(self.children) else ()
             out["matches"].append(
@@ -130,13 +133,6 @@ class AdaptationReport:
             "succeeded": self.succeeded,
             "notes": list(self.notes),
         }
-
-
-@dataclass(frozen=True)
-class Directive:
-    kind: str  # adapt | adapt_parent | retry | advance_page
-    rule_path: Optional[str] = None
-    trigger: Optional[str] = None
 
 
 def _candidate_thresholds(scores, low, high) -> list:
@@ -379,48 +375,6 @@ def adapt_rule(
     return new_rule, report
 
 
-def trigger_cascade(
-    wrapper: Wrapper, rule: Rule, outcome: str, ctx: ExecutionContext, rule_path=None
-):
-    """Directives implied by an adaptation outcome; pure data.
-
-    outcome "adapted" with top_down configured: one adapt directive per
-    descendant rule that has adaptation and has not opted out (the
-    executor re-evaluates them first and adapts only the violated).
-    outcome "failed" with bottom_up: force-adapt the parent, then retry;
-    with process_flow: advance to the next bundle page and retry.
-    """
-    if rule_path is None:
-        for p, r in wrapper.iter_rules():
-            if r is rule:
-                rule_path = p
-                break
-        else:
-            rule_path = rule.name
-    cfg = rule.adaptation
-    if cfg is None:
-        return []
-    directives = []
-    if outcome == "adapted":
-        if "top_down" in cfg.triggers:
-            prefix = rule_path + "/"
-            for p, r in wrapper.iter_rules():
-                if p.startswith(prefix) and r.adaptation is not None:
-                    if not r.adaptation.cascade_opt_out:
-                        directives.append(Directive("adapt", p, "top_down"))
-        return directives
-    if outcome == "failed":
-        if "bottom_up" in cfg.triggers and "/" in rule_path:
-            parent_path = rule_path.rsplit("/", 1)[0]
-            directives.append(Directive("adapt_parent", parent_path, "bottom_up"))
-            directives.append(Directive("retry", rule_path, None))
-        if "process_flow" in cfg.triggers and ctx.current + 1 < len(ctx.pages):
-            directives.append(Directive("advance_page", None, "process_flow"))
-            directives.append(Directive("retry", rule_path, None))
-        return directives
-    return []
-
-
 class _Executor:
     def __init__(self, wrapper: Wrapper, ctx: ExecutionContext, max_cascade_depth: int):
         self.wrapper = wrapper
@@ -481,10 +435,8 @@ class _Executor:
                 _, report = self._adapt(current, rule_path, contexts, trigger)
                 return "adapted", self._partition(report.resolved, contexts)
             except AdaptationFailed:
-                directives = trigger_cascade(
-                    self.wrapper, current, "failed", self.ctx, rule_path=rule_path
-                )
-                if any(d.kind == "advance_page" for d in directives):
+                cfg = current.adaptation
+                if "process_flow" in cfg.triggers and self.ctx.current + 1 < len(self.ctx.pages):
                     self.ctx.current += 1
                     # the alternate page may satisfy the plan as-is
                     ok, per_ctx = self._apply_contexts(current, contexts)
@@ -549,10 +501,11 @@ class _Executor:
                 per_ctx = [paths if paths is not None else [] for paths in per_ctx]
         if all(s == "failed" for s in statuses):
             return [
-                ExtractionResult(rule_name=rule.name, status="failed")
+                ExtractionResult(rule_name=rule.name, status="failed", page=self.ctx.current)
                 for _ in contexts
             ]
 
+        page = self.ctx.current  # where this rule's paths were found
         for attempt in (0, 1):
             adapted = any(s == "adapted" for s in statuses)
             flat = [p for paths in per_ctx for p in paths]
@@ -560,7 +513,7 @@ class _Executor:
             for child in rule.children:
                 child_path = rule_path + "/" + child.name
                 child_results[child.name] = self._eval(
-                    child, child_path, flat, self._attr_for(rule, rule_path, adapted, child)
+                    child, child_path, flat, self._attr_for(rule, adapted, child)
                 )
             if attempt == 1 or not self._needs_parent_refresh(rule, child_results):
                 break
@@ -578,8 +531,9 @@ class _Executor:
             per_ctx = self._partition(report.resolved, contexts)
             statuses = ["adapted"] * len(contexts)
             rule = self.changed.get(rule_path, rule)
+            page = self.ctx.current
 
-        page = self.ctx.page
+        tree = self.ctx.pages[page]
         results = []
         flat_index = 0
         for paths, status in zip(per_ctx, statuses):
@@ -587,7 +541,7 @@ class _Executor:
             kids = []
             for p in paths:
                 try:
-                    text = resolve(page, p).text
+                    text = resolve(tree, p).text
                 except PathError:
                     text = ""
                 matches.append((tuple(p), text))
@@ -605,20 +559,22 @@ class _Executor:
                     matches=tuple(matches),
                     children=tuple(kids),
                     status=status,
+                    page=page,
                 )
             )
         return results
 
-    def _attr_for(self, rule, rule_path, adapted, child):
-        if not adapted:
-            return "constraint_violation"
-        directives = trigger_cascade(
-            self.wrapper, rule, "adapted", self.ctx, rule_path=rule_path
-        )
-        child_path = rule_path + "/" + child.name
-        for d in directives:
-            if d.kind == "adapt" and d.rule_path == child_path:
-                return "top_down"
+    def _attr_for(self, rule, adapted, child):
+        """top_down when this rule adapted and cascades to a child that
+        can adapt and has not opted out."""
+        cfg = child.adaptation
+        if (
+            adapted
+            and "top_down" in rule.adaptation.triggers
+            and cfg is not None
+            and not cfg.cascade_opt_out
+        ):
+            return "top_down"
         return "constraint_violation"
 
     def _needs_parent_refresh(self, rule, child_results) -> bool:

@@ -8,6 +8,9 @@ one level down.  `_stm` counts mapped nodes; `_wtm` divides each child
 pair's score by the larger of the two sibling counts, so identical trees
 score exactly 1.0.
 
+Template alignment (`template._compat`) runs `_wtm_eq` on templates,
+keyed by their label strings, so templates align with the same program.
+
 Scored pairs are not cached: on trees a (stored node, page node) pair is
 reached only from its parents' pair, so each is scored once per call.
 """

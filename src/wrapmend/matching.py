@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from wrapmend import kernels
 from wrapmend.dom import DomNode, DomTree, NodePath, subtree_size
 from wrapmend.kernels import _stm, _wtm
@@ -77,20 +75,6 @@ DEFAULT_LABELER = Labeler()
 
 
 @dataclass
-class MatchComputation:
-    """The DP tables for one root pair, kept for inspection and tests.
-
-    M has shape (m+1, n+1) with a zero border; W has shape (m, n) and
-    holds the pairwise child scores the alignment maximised over.
-    """
-
-    m: int
-    n: int
-    M: np.ndarray
-    W: np.ndarray
-
-
-@dataclass
 class RankedCandidate:
     path: NodePath
     score: float
@@ -121,33 +105,6 @@ def normalized_stm(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LABELER) -
     return 2.0 * _stm(a, b, labeler) / (subtree_size(a) + subtree_size(b))
 
 
-def match_tables(
-    a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LABELER, algorithm: str = "weighted"
-) -> MatchComputation:
-    """Expose the root-level DP tables for one comparison."""
-    _check_algorithm(algorithm)
-    m, n = len(a.children), len(b.children)
-    W = np.zeros((m, n), dtype=np.float64)
-    if labeler.key(a) == labeler.key(b):
-        denom = float(max(m, n)) if m and n else 1.0
-        for i in range(m):
-            for j in range(n):
-                if algorithm == "weighted":
-                    W[i, j] = _wtm(a.children[i], b.children[j], labeler) / denom
-                else:
-                    W[i, j] = _stm(a.children[i], b.children[j], labeler)
-    M = np.zeros((m + 1, n + 1), dtype=np.float64)
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            M[i, j] = max(M[i, j - 1], M[i - 1, j], M[i - 1, j - 1] + W[i - 1, j - 1])
-    return MatchComputation(m=m, n=n, M=M, W=W)
-
-
-def _check_algorithm(algorithm: str):
-    if algorithm not in ("simple", "weighted"):
-        raise ValueError("unknown algorithm %r" % (algorithm,))
-
-
 def best_matches(
     stored: DomNode,
     page: DomTree,
@@ -162,7 +119,8 @@ def best_matches(
     values or normalized_stm values depending on `algorithm`; both live in
     [0, 1], so min_score > 1 yields an empty list.
     """
-    _check_algorithm(algorithm)
+    if algorithm not in ("simple", "weighted"):
+        raise ValueError("unknown algorithm %r" % (algorithm,))
     # through the module attribute, so a caller that rebinds
     # kernels.score_against_page (the benchmark's tracer) sees every call
     scored = kernels.score_against_page(stored, page, labeler, algorithm)

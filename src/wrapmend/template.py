@@ -14,9 +14,9 @@ accepted after it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from wrapmend.dom import DomNode, DomTree, _walk
+from wrapmend.kernels import _label, _wtm_eq
 from wrapmend.matching import DEFAULT_LABELER, Labeler
 
 EXACTLY_ONE = "exactly_one"
@@ -90,20 +90,9 @@ def template_from_tree(node: DomNode, labeler: Labeler = DEFAULT_LABELER) -> Tre
 
 
 def _compat(p: TreeTemplate, q: TreeTemplate) -> float:
-    """Alignment score between two templates; > 0 only when labels agree."""
-    if p.label != q.label:
-        return 0.0
-    m, n = len(p.children), len(q.children)
-    if m == 0 or n == 0:
-        return 1.0
-    denom = float(max(m, n))
-    row = [0.0] * (n + 1)
-    for i in range(1, m + 1):
-        prev, row = row, [0.0] * (n + 1)
-        for j in range(1, n + 1):
-            w = _compat(p.children[i - 1], q.children[j - 1]) / denom
-            row[j] = max(row[j - 1], prev[j], prev[j - 1] + w)
-    return row[n]
+    """Weighted alignment score between two templates, by the kernels'
+    program; > 0 only when labels agree."""
+    return _wtm_eq(p, q, _label) if p.label == q.label else 0.0
 
 
 def _align(p_children, q_children):

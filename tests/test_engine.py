@@ -11,7 +11,6 @@ from wrapmend.engine import (
     adapt_rule,
     execute_wrapper,
     threshold_search,
-    trigger_cascade,
 )
 from wrapmend.model import AdaptationConfig, Rule, Wrapper, capture_example, wrapper_to_dict
 from wrapmend.template import template_from_tree
@@ -327,6 +326,15 @@ class TestBottomUp:
         assert forced[0].succeeded
         assert new_w.version == 2
 
+    def test_root_rule_has_no_parent_to_refresh(self):
+        w = build_wrapper(record_triggers=("bottom_up",))
+        results, reports, new_w = execute_wrapper(w, ctx_for(EMPTY_HTML))
+        assert results[0].status == "failed"
+        (report,) = reports
+        assert not report.succeeded
+        assert report.trigger != "bottom_up"
+        assert new_w is None
+
     def test_without_bottom_up_child_just_fails(self):
         w = build_wrapper(structural_fallback=True)
         results, reports, _ = execute_wrapper(w, ctx_for(WRAPPED_HTML))
@@ -374,8 +382,27 @@ class TestProcessFlow:
         (rec,) = results
         assert rec.status == "ok"
         assert [p for p, _ in rec.matches] == [REC0, REC1]
+        # the paths belong to the alternate page, and the results say so
+        assert rec.page == 1
+        assert {kid.page for kids in rec.children for kid in kids} == {1}
+        assert rec.to_dict()["page"] == 1
         assert len(reports) == 1 and not reports[0].succeeded
         assert new_w is None
+
+    def test_child_advance_leaves_the_parent_on_its_own_page(self):
+        # the names are gone from the primary page, so only the child
+        # advances; the records were found on the primary page
+        no_names = ORIGINAL_HTML.replace('<span class="name">Alpha</span>', "").replace(
+            '<span class="name">Beta</span>', ""
+        )
+        w = build_wrapper(child_triggers=("process_flow",))
+        ctx = ExecutionContext(
+            pages=(parse_html(no_names, source_id="p0"), original_page("p1"))
+        )
+        (rec,), _, _ = execute_wrapper(w, ctx)
+        assert [p for p, _ in rec.matches] == [REC0, REC1]
+        assert rec.page == 0
+        assert [kids[0].page for kids in rec.children] == [1, 1]
 
     def test_single_page_bundle_just_fails(self):
         w = build_wrapper(record_triggers=("process_flow",))
@@ -418,47 +445,6 @@ class TestProcessFlow:
         with pytest.raises(RuntimeError):
             execute_wrapper(w, ctx)
         assert ctx.current == 0
-
-
-class TestCascadeDirectives:
-    def test_top_down_directives_skip_opt_outs_and_bare_rules(self):
-        w = build_wrapper(record_triggers=("top_down",))
-        # price opts out; name keeps the cascade
-        price = w.find_rule("record/price")
-        object.__setattr__(price.adaptation, "cascade_opt_out", True)
-        record = w.find_rule("record")
-        ctx = ExecutionContext(pages=(original_page(),))
-        ds = trigger_cascade(w, record, "adapted", ctx)
-        assert [(d.kind, d.rule_path, d.trigger) for d in ds] == [
-            ("adapt", "record/name", "top_down")
-        ]
-
-    def test_no_top_down_no_directives(self):
-        w = build_wrapper()
-        ctx = ExecutionContext(pages=(original_page(),))
-        assert trigger_cascade(w, w.find_rule("record"), "adapted", ctx) == []
-
-    def test_bottom_up_failure_adapts_parent_then_retries(self):
-        w = build_wrapper(child_triggers=("bottom_up",))
-        ctx = ExecutionContext(pages=(original_page(),))
-        ds = trigger_cascade(w, w.find_rule("record/name"), "failed", ctx)
-        assert [(d.kind, d.rule_path) for d in ds] == [
-            ("adapt_parent", "record"),
-            ("retry", "record/name"),
-        ]
-
-    def test_bottom_up_needs_a_parent(self):
-        w = build_wrapper(record_triggers=("bottom_up",))
-        ctx = ExecutionContext(pages=(original_page(),))
-        assert trigger_cascade(w, w.find_rule("record"), "failed", ctx) == []
-
-    def test_process_flow_needs_another_page(self):
-        w = build_wrapper(record_triggers=("process_flow",))
-        two = ExecutionContext(pages=(original_page("a"), original_page("b")))
-        ds = trigger_cascade(w, w.find_rule("record"), "failed", two)
-        assert [d.kind for d in ds] == ["advance_page", "retry"]
-        last = ExecutionContext(pages=(original_page("a"),))
-        assert trigger_cascade(w, w.find_rule("record"), "failed", last) == []
 
 
 class TestAdaptRuleDirect:

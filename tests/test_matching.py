@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from wrapmend.dom import (
@@ -18,7 +20,6 @@ from wrapmend.matching import (
     DEFAULT_LABELER,
     Labeler,
     best_matches,
-    match_tables,
     normalized_stm,
     simple_tree_matching,
     weighted_tree_matching,
@@ -203,39 +204,11 @@ class TestLabeler:
         assert Labeler.from_dict(lab.to_dict()) == lab
 
 
-class TestMatchTables:
-    def test_shapes_and_border(self):
-        a = t("<a><b></b><c></c></a>")
-        b = t("<a><b></b></a>")
-        comp = match_tables(a, b)
-        assert (comp.m, comp.n) == (2, 1)
-        assert comp.M.shape == (3, 2)
-        assert comp.W.shape == (2, 1)
-        assert np.all(comp.M[0, :] == 0) and np.all(comp.M[:, 0] == 0)
-
-    def test_monotone_tables(self, rng):
-        for _ in range(50):
-            a = random_node(rng, max_depth=3, max_branch=3)
-            b = random_node(rng, max_depth=3, max_branch=3)
-            b.label = a.label
-            for algorithm in ("simple", "weighted"):
-                comp = match_tables(a, b, algorithm=algorithm)
-                assert np.all(np.diff(comp.M, axis=0) >= 0)
-                assert np.all(np.diff(comp.M, axis=1) >= 0)
-
-    def test_weighted_last_cell_is_score(self):
-        a = t("<a><b></b><c></c></a>")
-        b = t("<a><b></b></a>")
-        comp = match_tables(a, b, algorithm="weighted")
-        assert comp.M[-1, -1] == weighted_tree_matching(a, b)
-
-    def test_unknown_algorithm_rejected(self):
-        a = t("<a></a>")
-        with pytest.raises(ValueError):
-            match_tables(a, a, algorithm="fuzzy")
-
-
 class TestBestMatches:
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ValueError):
+            best_matches(t("<a></a>"), parse_html("<a></a>"), algorithm="fuzzy")
+
     def test_verbatim_subtree_scores_one(self):
         page = parse_html(
             "<html><body><div><p>x</p><p>y</p></div><div><p>z</p></div></body></html>"
@@ -340,7 +313,7 @@ class TestKernels:
                 assert score == normalized_stm(stored, node)
 
     def test_scores_equal_recorded_golden_values(self):
-        # float.hex scores recorded from the numpy all-pairs kernels this
+        # float.hex scores recorded from the array all-pairs kernels this
         # matcher replaced; paths, order and every bit must agree
         golden = json.loads(GOLDEN_PATH.read_text())
         got = []
@@ -397,3 +370,28 @@ class TestDeepPages:
         assert ranked[0].score == 1.0
         assert ranked[0].path == (0,) * depth
         assert page.resolve(ranked[0].path).children[0].label == "span"
+
+
+def _top_level_modules_after(statement: str) -> set:
+    """Top-level names in sys.modules after running `statement` in a fresh
+    interpreter that imports from this checkout's src/."""
+    code = statement + "; import sys; print(' '.join(sys.modules))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return {name.partition(".")[0] for name in out.stdout.split()}
+
+
+class TestDependencies:
+    def test_import_loads_only_stdlib_and_jsonschema(self):
+        # jsonschema is the one declared dependency; anything else a bare
+        # import loads would be an undeclared requirement
+        loaded = _top_level_modules_after("import wrapmend")
+        allowed = _top_level_modules_after("import jsonschema") | {"wrapmend"}
+        extra = {m for m in loaded - allowed if m not in sys.stdlib_module_names}
+        assert extra == set()
