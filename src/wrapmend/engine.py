@@ -499,13 +499,13 @@ class _Executor:
                     "ok" if paths is not None else "failed" for paths in per_ctx
                 ]
                 per_ctx = [paths if paths is not None else [] for paths in per_ctx]
+        page = self.ctx.current  # where this rule's paths were found
         if all(s == "failed" for s in statuses):
             return [
-                ExtractionResult(rule_name=rule.name, status="failed", page=self.ctx.current)
+                ExtractionResult(rule_name=rule.name, status="failed", page=page)
                 for _ in contexts
             ]
 
-        page = self.ctx.current  # where this rule's paths were found
         for attempt in (0, 1):
             adapted = any(s == "adapted" for s in statuses)
             flat = [p for paths in per_ctx for p in paths]
