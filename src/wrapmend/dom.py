@@ -419,12 +419,3 @@ def subtree_size(node: DomNode) -> int:
         extend(pop().children)
     return count
 
-
-def subtree_text(node: DomNode) -> str:
-    """Owned text of the node and all descendants, document order,
-    space-joined.  Used for content-anchor detection."""
-    parts = []
-    for _, n in _walk(node):
-        if n.text:
-            parts.append(n.text)
-    return " ".join(parts)

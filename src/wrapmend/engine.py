@@ -7,10 +7,11 @@ constraints; a violation triggers the adaptation pipeline:
   1. template rescue: if the rule has a learned template and its matches
      satisfy the constraints, use them; the rule itself is unchanged.
   2. similarity search: the stored example subtree is scored against
-     every same-labeled subtree of the page, and candidate thresholds
-     inside the configured interval are tried highest-first until the
-     admitted set passes full validation (aggregate cardinality across
-     parent contexts, residual resolution, datatypes).
+     every same-labeled subtree of the page, and threshold_search tries
+     candidate thresholds inside the configured interval highest-first
+     until the admitted set passes the same check as a template rescue
+     (residual resolution, aggregate cardinality across parent contexts,
+     datatypes).
   3. the template is generalized/refined with the matched subtrees.
   4. if configured, the stored example and locator plan are regenerated
      from the top-ranked match and the chosen threshold is written back.
@@ -19,8 +20,12 @@ The executor applies the trigger cascade as it evaluates.  When every
 result of a child rule with bottom_up fails, its parent is force-adapted
 once per execution and the children are evaluated again.  When a rule
 with process_flow cannot be repaired, the next bundle page is tried,
-from plan application on.  When a rule with top_down adapted, its direct
-children's adaptations are reported as top_down unless they opted out.
+from plan application on.  Each rule is evaluated on the bundle page its
+parent was found on, passed down as an argument: an advance moves only
+the advancing rule and its descendants, never re-runs the parent, and
+leaves the page where it was when no later page helps.  When a rule
+with top_down adapted, its direct children's adaptations are reported
+as top_down unless they opted out.
 The input wrapper value is never modified; accumulated rule changes
 produce a new wrapper with version + 1.
 """
@@ -58,8 +63,9 @@ class AdaptationFailed(Exception):
 @dataclass
 class ExecutionContext:
     """A snapshot bundle: the primary page plus alternates standing in
-    for other windows/tabs.  process_flow advances current during one
-    execute_wrapper call, which restores it before returning."""
+    for other windows/tabs.  current is the page that execute_wrapper
+    starts on and that adapt_rule repairs against; execution never
+    changes it, and a process_flow advance reaches later pages by index."""
 
     pages: tuple
     current: int = 0
@@ -135,27 +141,23 @@ class AdaptationReport:
         }
 
 
-def _candidate_thresholds(scores, low, high) -> list:
-    """The distinct scores inside [low, high] plus both ends, highest first."""
-    return sorted({s for s in scores if low <= s <= high} | {low, high}, reverse=True)
-
-
-def threshold_search(scores, constraint, threshold):
-    """Highest threshold whose admitted prefix satisfies the cardinality
-    constraint.  Candidates are the distinct scores inside the allowed
-    interval plus the interval endpoints.  Returns (threshold, admitted
-    count).  Score order does not affect the result."""
-    if not isinstance(constraint, CardinalityConstraint):
-        raise ValueError("threshold_search needs a cardinality constraint")
+def threshold_search(scores, threshold, accept):
+    """Highest threshold that `accept` takes.  Candidates are the distinct
+    scores inside the allowed interval plus the interval endpoints, tried
+    highest first; `accept(t)` returns None to reject t.  Returns
+    (threshold, accept's result).  Score order does not affect the
+    result."""
     low, high = threshold if isinstance(threshold, tuple) else (threshold, threshold)
-    for t in _candidate_thresholds(scores, low, high):
-        admitted = sum(1 for s in scores if s >= t)
-        if constraint.admits(admitted):
+    for t in sorted({s for s in scores if low <= s <= high} | {low, high}, reverse=True):
+        admitted = accept(t)
+        if admitted is not None:
             return t, admitted
-    raise Unsatisfiable(
-        "no threshold in [%g, %g] admits a set satisfying %s"
-        % (low, high, constraint.kind)
-    )
+    raise Unsatisfiable("no threshold in [%g, %g] is accepted" % (low, high))
+
+
+def _inside(path, context) -> bool:
+    """Whether path lies in the subtree at context; None is the document."""
+    return context is None or path[: len(context)] == context
 
 
 def _config_summary(rule: Rule) -> dict:
@@ -212,11 +214,11 @@ def adapt_rule(
         if len(ctxs) != len(list(context_paths)):
             ctxs = None  # a document context admits everything
     parents = len(ctxs) if ctxs is not None else 1
+    stored = rule.stored_example
+    residual = stored.residual_path if stored is not None else ()
 
     def within(path) -> bool:
-        if ctxs is None:
-            return True
-        return any(path[: len(c)] == c for c in ctxs)
+        return ctxs is None or any(_inside(path, c) for c in ctxs)
 
     def counts_ok(n: int) -> bool:
         for c in card:
@@ -226,81 +228,69 @@ def adapt_rule(
                 return False
         return True
 
-    def texts_ok(results) -> bool:
-        return not validate_results(results, data)
+    def admit(paths):
+        """(path, target, node) for every path whose residual resolves,
+        or None when that set breaks the constraints."""
+        found = []
+        for p in paths:
+            target = p + residual
+            try:
+                node = resolve(page, target)
+            except PathError:
+                continue  # matched subtree too shallow for the residual
+            found.append((p, target, node))
+        results = [(target, node.text) for _, target, node in found]
+        if found and counts_ok(len(found)) and not validate_results(results, data):
+            return found
+        return None
 
     # 1. template rescue: shape knowledge may localize the data without
     # touching the rule at all
     if rule.template is not None and not force:
-        spots = [
-            p
-            for p in template_match(rule.template, page, cfg.labeler)
-            if within(p)
-        ]
-        targets = []
-        for p in spots:
-            t = tuple(p) + (rule.stored_example.residual_path if rule.stored_example else ())
-            try:
-                node = resolve(page, t)
-            except PathError:
-                continue
-            targets.append((t, node.text))
-        if targets and counts_ok(len(targets)) and texts_ok(targets):
+        found = admit(
+            [p for p in template_match(rule.template, page, cfg.labeler) if within(p)]
+        )
+        if found is not None:
             report = AdaptationReport(
                 rule_name=name,
                 trigger=trigger,
-                resolved=tuple(t for t, _ in targets),
+                resolved=tuple(t for _, t, _ in found),
                 succeeded=True,
                 notes=("template matched; no further action",),
             )
             return rule, report
 
-    stored = rule.stored_example
     if stored is None:
         raise failure(["no stored example to search with"])
     low, high = cfg.interval
 
-    chosen = None
-    winner = None  # (algorithm, usable, resolved)
-    last_usable = []
-    last_algorithm = None
     for algorithm in cfg.algorithms():
         ranked = best_matches(
             stored.subtree, page, cfg.labeler, algorithm=algorithm, min_score=low
         )
         usable = [c for c in ranked if within(c.path)]
-        last_usable, last_algorithm = usable, algorithm
-        for t in _candidate_thresholds([c.score for c in usable], low, high):
-            admitted = [c for c in usable if c.score >= t]
-            resolved = []
-            for c in admitted:
-                target = tuple(c.path) + stored.residual_path
-                try:
-                    node = resolve(page, target)
-                except PathError:
-                    continue  # matched subtree too shallow for the residual
-                resolved.append((c, target, node))
-            results = [(target, node.text) for _, target, node in resolved]
-            if resolved and counts_ok(len(results)) and texts_ok(results):
-                chosen = t
-                winner = (algorithm, usable, resolved)
-                break
-        if winner:
+        try:
+            chosen, resolved = threshold_search(
+                [c.score for c in usable],
+                cfg.threshold,
+                lambda t: admit([c.path for c in usable if c.score >= t]),
+            )
             break
-    if winner is None:
+        except Unsatisfiable:
+            continue
+    else:
         raise failure(
             ["no threshold in [%g, %g] yields results satisfying the constraints" % (low, high)],
-            candidates=last_usable,
-            algorithm=last_algorithm,
+            candidates=usable,
+            algorithm=algorithm,
         )
 
-    algorithm, usable, resolved = winner
     notes = []
 
     # 2. fold the matched shapes into the template
     new_template = rule.template
     template_action = "none"
-    matched_roots = [resolve(page, c.path) for c, _, _ in resolved]
+    matched_roots = [resolve(page, p) for p, _, _ in resolved]
     try:
         if new_template is None:
             new_template = generalize(stored.subtree, matched_roots[0], cfg.labeler)
@@ -322,9 +312,9 @@ def adapt_rule(
     new_plan = rule.plan
     targets = [target for _, target, _ in resolved]
     if cfg.update_stored:
-        top = resolved[0]
+        top, top_target, _ = resolved[0]
         new_stored = StoredExample(
-            subtree=detach_subtree(resolve(page, top[0].path)),
+            subtree=detach_subtree(resolve(page, top)),
             residual_path=stored.residual_path,
             captured_from=page.source_id,
             captured_at=ctx.now(),
@@ -332,14 +322,12 @@ def adapt_rule(
         plan_context = None
         plan_targets = targets
         if ctxs is not None:
-            plan_context = next(
-                c for c in ctxs if top[1][: len(c)] == c
-            )
-            plan_targets = [t for t in targets if t[: len(plan_context)] == plan_context]
+            plan_context = next(c for c in ctxs if _inside(top_target, c))
+            plan_targets = [t for t in targets if _inside(t, plan_context)]
         try:
             new_plan = generate_plan(
                 page,
-                top[1],
+                top_target,
                 context_path=plan_context,
                 cohort=plan_targets if len(plan_targets) > 1 else None,
             )
@@ -387,7 +375,7 @@ class _Executor:
 
     def run(self):
         return [
-            self._eval(rule, rule.name, [None], "constraint_violation")[0]
+            self._eval(rule, rule.name, [None], "constraint_violation", self.ctx.current)[0]
             for rule in self.wrapper.root_rules
         ]
 
@@ -396,7 +384,7 @@ class _Executor:
     def _budget(self) -> int:
         return self.max_depth * len(self.ctx.pages)
 
-    def _adapt(self, rule, rule_path, contexts, trigger, force=False):
+    def _adapt(self, rule, rule_path, contexts, trigger, page, force=False):
         if self.attempts.get(rule_path, 0) >= self._budget():
             report = AdaptationReport(
                 rule_name=rule_path,
@@ -411,7 +399,7 @@ class _Executor:
         try:
             new_rule, report = adapt_rule(
                 rule,
-                self.ctx,
+                replace(self.ctx, current=page),
                 constraints=constraints,
                 context_paths=contexts,
                 trigger=trigger,
@@ -426,36 +414,36 @@ class _Executor:
             self.changed[rule_path] = new_rule
         return new_rule, report
 
-    def _repair(self, rule, rule_path, contexts, trigger):
+    def _repair(self, rule, rule_path, contexts, trigger, page):
         """Adapt with process_flow page advances.  Returns (status, per-context
-        match lists) with status "failed" when everything is exhausted."""
+        match lists, page the matches are on), or None when everything is
+        exhausted."""
         while True:
             current = self.changed.get(rule_path, rule)
             try:
-                _, report = self._adapt(current, rule_path, contexts, trigger)
-                return "adapted", self._partition(report.resolved, contexts)
+                _, report = self._adapt(current, rule_path, contexts, trigger, page)
+                return "adapted", self._partition(report.resolved, contexts), page
             except AdaptationFailed:
                 cfg = current.adaptation
-                if "process_flow" in cfg.triggers and self.ctx.current + 1 < len(self.ctx.pages):
-                    self.ctx.current += 1
+                if "process_flow" in cfg.triggers and page + 1 < len(self.ctx.pages):
+                    page += 1
                     # the alternate page may satisfy the plan as-is
-                    ok, per_ctx = self._apply_contexts(current, contexts)
+                    ok, per_ctx = self._apply_contexts(current, contexts, page)
                     if ok:
-                        return "ok", per_ctx
+                        return "ok", per_ctx, page
                     continue
-                return "failed", None
+                return None
 
-    def _apply_contexts(self, rule, contexts):
-        """Plan results per context; a violated context yields None (an
-        empty list is a legitimate result under min_count 0)."""
+    def _apply_contexts(self, rule, contexts, page):
+        """Plan results per context on one bundle page; a violated context
+        yields None (an empty list is a legitimate result under min_count 0)."""
         constraints = self.wrapper.effective_constraints(rule)
+        tree = self.ctx.pages[page]
         per_ctx = []
         ok = True
         for c in contexts:
             try:
-                paths, _ = apply_plan(
-                    rule.plan, self.ctx.page, constraints, context_path=c
-                )
+                paths, _ = apply_plan(rule.plan, tree, constraints, context_path=c)
                 per_ctx.append(paths)
             except (PlanExhausted, PathError):
                 per_ctx.append(None)
@@ -463,43 +451,33 @@ class _Executor:
         return ok, per_ctx
 
     def _partition(self, targets, contexts):
-        out = []
-        for c in contexts:
-            if c is None:
-                mine = sorted(tuple(t) for t in targets)
-            else:
-                c = tuple(c)
-                mine = sorted(tuple(t) for t in targets if tuple(t)[: len(c)] == c)
-            out.append(mine)
-        return out
+        return [sorted(t for t in targets if _inside(t, c)) for c in contexts]
 
     # -- evaluation
 
-    def _eval(self, rule, rule_path, contexts, attribution):
-        """Evaluate one rule under the given parent contexts.  Returns a
-        list of ExtractionResults aligned with contexts."""
+    def _eval(self, rule, rule_path, contexts, attribution, page):
+        """Evaluate one rule under the given parent contexts, which were
+        found on bundle page `page`.  Returns a list of ExtractionResults
+        aligned with contexts."""
         rule = self.changed.get(rule_path, rule)
         if not contexts:
             return []
-        ok, per_ctx = self._apply_contexts(rule, contexts)
+        ok, per_ctx = self._apply_contexts(rule, contexts, page)
         statuses = ["ok"] * len(contexts)
         if not ok:
             repaired = None
             if rule.adaptation is not None:
-                status, fixed = self._repair(rule, rule_path, contexts, attribution)
-                if status != "failed":
-                    repaired = (status, fixed)
-                    rule = self.changed.get(rule_path, rule)
+                repaired = self._repair(rule, rule_path, contexts, attribution, page)
             if repaired is not None:
-                status, per_ctx = repaired
+                status, per_ctx, page = repaired
                 statuses = [status] * len(contexts)
+                rule = self.changed.get(rule_path, rule)
             else:
                 # salvage the contexts the plan still satisfies
                 statuses = [
                     "ok" if paths is not None else "failed" for paths in per_ctx
                 ]
                 per_ctx = [paths if paths is not None else [] for paths in per_ctx]
-        page = self.ctx.current  # where this rule's paths were found
         if all(s == "failed" for s in statuses):
             return [
                 ExtractionResult(rule_name=rule.name, status="failed", page=page)
@@ -513,7 +491,7 @@ class _Executor:
             for child in rule.children:
                 child_path = rule_path + "/" + child.name
                 child_results[child.name] = self._eval(
-                    child, child_path, flat, self._attr_for(rule, adapted, child)
+                    child, child_path, flat, self._attr_for(rule, adapted, child), page
                 )
             if attempt == 1 or not self._needs_parent_refresh(rule, child_results):
                 break
@@ -524,14 +502,13 @@ class _Executor:
             self.forced_parents.add(rule_path)
             try:
                 _, report = self._adapt(
-                    rule, rule_path, contexts, "bottom_up", force=True
+                    rule, rule_path, contexts, "bottom_up", page, force=True
                 )
             except AdaptationFailed:
                 break
             per_ctx = self._partition(report.resolved, contexts)
             statuses = ["adapted"] * len(contexts)
             rule = self.changed.get(rule_path, rule)
-            page = self.ctx.current
 
         tree = self.ctx.pages[page]
         results = []
@@ -540,11 +517,7 @@ class _Executor:
             matches = []
             kids = []
             for p in paths:
-                try:
-                    text = resolve(tree, p).text
-                except PathError:
-                    text = ""
-                matches.append((tuple(p), text))
+                matches.append((p, resolve(tree, p).text))
                 kids.append(
                     tuple(
                         child_results[child.name][flat_index]
@@ -607,12 +580,8 @@ class _Executor:
 
 def execute_wrapper(wrapper: Wrapper, ctx: ExecutionContext, max_cascade_depth: int = 3):
     """Returns (results per root rule, adaptation reports, new wrapper or
-    None when nothing changed).  process_flow may advance ctx.current
-    while repairing; the caller's index is restored on return and raise."""
-    start = ctx.current
+    None when nothing changed).  Evaluation starts on ctx.current, which
+    is never changed."""
     executor = _Executor(wrapper, ctx, max_cascade_depth)
-    try:
-        results = executor.run()
-        return results, executor.reports, executor.build_wrapper()
-    finally:
-        ctx.current = start
+    results = executor.run()
+    return results, executor.reports, executor.build_wrapper()

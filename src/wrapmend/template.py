@@ -52,6 +52,12 @@ def _add(r1, r2):
     return (lo, hi)
 
 
+def _union(r1, r2):
+    """Smallest range covering both."""
+    hi = None if r1[1] is None or r2[1] is None else max(r1[1], r2[1])
+    return (min(r1[0], r2[0]), hi)
+
+
 @dataclass(frozen=True)
 class TreeTemplate:
     label: str
@@ -171,12 +177,9 @@ def _merge(p: TreeTemplate, q: TreeTemplate) -> TreeTemplate:
         else:  # depth-optional bridge built by _absorb_depth_gaps
             entries.append(ev[1])
     children = tuple(_collapse_runs(entries))
-    plo, phi = _RANGES[p.occurrence]
-    qlo, qhi = _RANGES[q.occurrence]
-    hi = None if phi is None or qhi is None else max(phi, qhi)
     return TreeTemplate(
         label=p.label,
-        occurrence=_cover(min(plo, qlo), hi),
+        occurrence=_cover(*_union(_RANGES[p.occurrence], _RANGES[q.occurrence])),
         depth_optional=p.depth_optional or q.depth_optional,
         children=children,
     )
@@ -207,32 +210,19 @@ def _absorb_depth_gaps(events, p_children, q_children):
 
 def _bridge(pc: TreeTemplate, qc: TreeTemplate):
     """One extra level on either side: wrapper(x) vs x."""
-    if len(pc.children) == 1 and _compat(pc.children[0], qc) > 0:
-        inner = _merge(pc.children[0], qc)
-        return _Entry(
-            template=TreeTemplate(
-                label=pc.label,
-                occurrence=pc.occurrence,
-                depth_optional=True,
-                children=(inner,),
-            ),
-            p_range=_RANGES[pc.occurrence],
-            q_range=_RANGES[qc.occurrence],
-            aligned=True,
-        )
-    if len(qc.children) == 1 and _compat(qc.children[0], pc) > 0:
-        inner = _merge(qc.children[0], pc)
-        return _Entry(
-            template=TreeTemplate(
-                label=qc.label,
-                occurrence=qc.occurrence,
-                depth_optional=True,
-                children=(inner,),
-            ),
-            p_range=_RANGES[pc.occurrence],
-            q_range=_RANGES[qc.occurrence],
-            aligned=True,
-        )
+    for outer, other in ((pc, qc), (qc, pc)):
+        if len(outer.children) == 1 and _compat(outer.children[0], other) > 0:
+            return _Entry(
+                template=TreeTemplate(
+                    label=outer.label,
+                    occurrence=outer.occurrence,
+                    depth_optional=True,
+                    children=(_merge(outer.children[0], other),),
+                ),
+                p_range=_RANGES[pc.occurrence],
+                q_range=_RANGES[qc.occurrence],
+                aligned=True,
+            )
     return None
 
 
@@ -259,22 +249,11 @@ def _collapse_runs(entries):
             merged = run[0].template
             for e in run[1:]:
                 merged = _merge(merged, e.template)
-            lo = min(p_range[0], q_range[0])
-            hi = (
-                None
-                if p_range[1] is None or q_range[1] is None
-                else max(p_range[1], q_range[1])
-            )
-            out.append(replace(merged, occurrence=_cover(lo, hi)))
+            out.append(replace(merged, occurrence=_cover(*_union(p_range, q_range))))
         else:
             for e in run:
-                lo = min(e.p_range[0], e.q_range[0])
-                hi = (
-                    None
-                    if e.p_range[1] is None or e.q_range[1] is None
-                    else max(e.p_range[1], e.q_range[1])
-                )
-                out.append(replace(e.template, occurrence=_cover(lo, hi)))
+                occurrence = _cover(*_union(e.p_range, e.q_range))
+                out.append(replace(e.template, occurrence=occurrence))
         i = j + 1
     return out
 

@@ -272,60 +272,30 @@ def _filter_predicate(group, pred):
 @dataclass(frozen=True)
 class AnchorPoint:
     path: NodePath
-    kind: str  # "unique_id" | "outermost_table" | "main_content"
-    relative: Optional[XPathExpr] = None  # filled in by plan generation
+    kind: str  # "unique_id" | "outermost_table"
 
 
 def detect_anchors(tree: DomTree) -> list:
     """Stable reference points on a page: elements with page-unique ids,
-    tables that are not nested in other tables, and the main content
-    block (deepest element holding at least half of the page's text)."""
-    anchors = []
-    nodes = list(_walk(tree.root))
-
+    and tables that are not nested in other tables.  One walk, which
+    keeps paths only for id holders and tables."""
+    held = []  # (path, id) of every id holder
     id_count: dict = {}
-    for _, node in nodes:
+    anchors = []
+    table = None  # the last outermost table
+    for path, node in _walk(tree.root):
         v = node.attributes.get("id")
         if v:
+            held.append((path, v))
             id_count[v] = id_count.get(v, 0) + 1
-    for path, node in nodes:
-        v = node.attributes.get("id")
-        if v and id_count[v] == 1:
-            anchors.append(AnchorPoint(path=path, kind="unique_id"))
-
-    for path, node in nodes:
-        if node.label == "table" and not _has_ancestor_label(tree, path, "table"):
+        # in document order a table nested in an outermost table comes
+        # after it and before the next outermost one
+        if node.label == "table" and (table is None or path[: len(table)] != table):
+            table = path
             anchors.append(AnchorPoint(path=path, kind="outermost_table"))
-
-    # len(subtree_text(node)) + 1 for every node, 0 where the subtree has
-    # no text, in one bottom-up pass: each owned text counts its length
-    # plus one joining space, and the last one has no space after it
-    spaced = {}
-    for _, node in reversed(nodes):
-        n = len(node.text) + 1 if node.text else 0
-        for child in node.children:
-            n += spaced[child]
-        spaced[node] = n
-
-    total = spaced[tree.root] - 1
-    if total > 0:
-        best_path = ()
-        for path, node in nodes:
-            if (spaced[node] - 1) * 2 >= total and len(path) > len(best_path):
-                best_path = path
-        anchors.append(AnchorPoint(path=best_path, kind="main_content"))
-
+    anchors += [AnchorPoint(path=p, kind="unique_id") for p, v in held if id_count[v] == 1]
     anchors.sort(key=lambda a: (a.path, a.kind))
     return anchors
-
-
-def _has_ancestor_label(tree, path, label) -> bool:
-    node = tree.root
-    for step in path:
-        if node.label == label:
-            return True
-        node = node.children[step]
-    return False
 
 
 # --- fallback plans -----------------------------------------------------------
@@ -374,7 +344,6 @@ PRIO_STRUCTURAL = 40
 PRIO_ANCHOR = 50
 PRIO_POSITIONAL = 60
 PRIO_RELAX = 61
-PRIO_TEXT = 70
 
 # attribute equality candidates, in preference order; id handled separately
 _ATTR_PREFERENCE = ("class", "name", "title", "href", "src")
@@ -383,7 +352,6 @@ _ATTR_PREFERENCE = ("class", "name", "title", "href", "src")
 def generate_plan(
     tree: DomTree,
     target: NodePath,
-    use_text: bool = False,
     context_path: Optional[NodePath] = None,
     cohort=None,
 ) -> FallbackPlan:
@@ -396,7 +364,7 @@ def generate_plan(
 
     A rule that legitimately matches several nodes (a record list) passes
     the full set as `cohort`; locators then must select exactly that set,
-    and per-node heuristics (id, text, trailing index) adjust or drop out.
+    and per-node heuristics (id, trailing index) adjust or drop out.
     """
     target = tuple(target)
     node = resolve(tree, target)
@@ -465,8 +433,6 @@ def generate_plan(
     for anchor in detect_anchors(tree):
         if prio_anchor >= PRIO_POSITIONAL:
             break
-        if anchor.kind == "main_content":
-            continue  # not expressible as a static locator
         apath = anchor.path
         if not (len(apath) < len(target) and target[:len(apath)] == apath):
             continue
@@ -497,24 +463,15 @@ def generate_plan(
             if any(isinstance(p, Position) for s in pos_steps for p in s.predicates):
                 consider(pos_expr, "index_relaxation", PRIO_RELAX)
 
-    # 7. text equality, opt-in
-    if single and use_text and node.text and _quotable(node.text):
-        expr = descendant_expr(Step("descendant", node.label, (TextEquals(node.text),)))
-        consider(expr, "textual", PRIO_TEXT)
-
-    entries.sort(key=lambda e: e.priority)
-    best = None
-    for e in entries:
-        if unique(e.expr):
-            best = e
-            break
-    if best is None:
+    if not entries:
         # target is the scope root itself: positional path is empty
         if target == (base or ()):
             raise XPathError("cannot build a plan for the scope root itself")
         raise XPathError("no unique locator found for %r" % (target,))
-    rest = tuple(e for e in entries if e is not best)
-    return FallbackPlan(best=best.expr, best_tag=best.tag, fallbacks=rest)
+    # every entry was checked unique when considered
+    entries.sort(key=lambda e: e.priority)
+    best = entries[0]
+    return FallbackPlan(best=best.expr, best_tag=best.tag, fallbacks=tuple(entries[1:]))
 
 
 def _quotable(value: str) -> bool:

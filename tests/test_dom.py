@@ -22,7 +22,6 @@ from wrapmend.dom import (
     resolve,
     serialize,
     subtree_size,
-    subtree_text,
 )
 from wrapmend.model import wrapper_from_dict, wrapper_json
 
@@ -288,7 +287,7 @@ class TestAccessors:
         tree = parse_html("<div>a<span>b</span><span>c<b>d</b></span></div>")
         div = tree.root.children[0] if tree.root.label == "html" else tree.root
         assert subtree_size(div) == 4
-        assert subtree_text(div) == "a b c d"
+        assert [n.text for _, n in enumerate_subtrees(div)] == ["a", "b", "c", "d"]
 
     def test_subtree_size_counts_every_node(self):
         rng = random.Random(5)

@@ -122,39 +122,51 @@ def ctx_for(html, source_id="page-m"):
 
 
 class TestThresholdSearch:
+    def search(self, scores, constraint, threshold):
+        """Accept the admitted count when the cardinality constraint takes it."""
+
+        def accept(t):
+            n = sum(1 for s in scores if s >= t)
+            return n if constraint.admits(n) else None
+
+        return threshold_search(scores, threshold, accept)
+
     def test_picks_highest_admitting_threshold(self):
-        t, n = threshold_search([0.9, 0.4], CardinalityConstraint(1, 1), (0.5, 0.95))
+        t, n = self.search([0.9, 0.4], CardinalityConstraint(1, 1), (0.5, 0.95))
         assert t == 0.9
         assert n == 1
 
     def test_tied_scores_cannot_be_separated(self):
         with pytest.raises(Unsatisfiable):
-            threshold_search([0.9, 0.9], CardinalityConstraint(1, 1), (0.5, 0.95))
+            self.search([0.9, 0.9], CardinalityConstraint(1, 1), (0.5, 0.95))
 
     def test_empty_scores(self):
         with pytest.raises(Unsatisfiable):
-            threshold_search([], CardinalityConstraint(1, 1), (0.5, 0.95))
+            self.search([], CardinalityConstraint(1, 1), (0.5, 0.95))
 
     def test_close_pair_split(self):
-        t, n = threshold_search([0.92, 0.9], CardinalityConstraint(1, 1), (0.5, 0.95))
+        t, n = self.search([0.92, 0.9], CardinalityConstraint(1, 1), (0.5, 0.95))
         assert 0.9 < t <= 0.92
         assert n == 1
 
     def test_constant_threshold(self):
-        t, n = threshold_search([0.8, 0.6], CardinalityConstraint(1, 1), 0.7)
+        t, n = self.search([0.8, 0.6], CardinalityConstraint(1, 1), 0.7)
         assert (t, n) == (0.7, 1)
 
     def test_at_least_one_takes_widest_passing_prefix(self):
-        t, n = threshold_search([1.0, 1.0, 0.3], CardinalityConstraint(1, None), (0.4, 0.95))
+        t, n = self.search([1.0, 1.0, 0.3], CardinalityConstraint(1, None), (0.4, 0.95))
         assert (t, n) == (0.95, 2)
 
     def test_min_zero_admits_empty(self):
-        t, n = threshold_search([], CardinalityConstraint(0, 1), (0.4, 0.95))
+        # accept's 0 is a result, not a rejection
+        t, n = self.search([], CardinalityConstraint(0, 1), (0.4, 0.95))
         assert (t, n) == (0.95, 0)
 
-    def test_needs_cardinality(self):
-        with pytest.raises(ValueError):
-            threshold_search([0.9], DatatypeConstraint("decimal"), (0.4, 0.95))
+    def test_tries_in_interval_scores_and_both_ends_highest_first(self):
+        tried = []
+        with pytest.raises(Unsatisfiable):
+            threshold_search([0.4, 0.97, 0.9, 0.9], (0.5, 0.95), tried.append)
+        assert tried == [0.95, 0.9, 0.5]
 
 
 class TestExecuteHappyPath:
@@ -370,6 +382,26 @@ class TestPartialSalvage:
         failed = [r for r in reports if not r.succeeded]
         assert failed and failed[0].rule_name == "record/name"
 
+    def test_failed_advance_keeps_the_salvage_on_its_own_page(self):
+        # the child advances to an alternate page that does not help; what
+        # it salvaged, and its sibling, stay on the primary page
+        w = build_wrapper(child_triggers=("process_flow",))
+        ctx = ExecutionContext(
+            pages=(
+                parse_html(self.MISSING_NAME, source_id="p0"),
+                parse_html(EMPTY_HTML, source_id="p1"),
+            )
+        )
+        (rec,), _, _ = execute_wrapper(w, ctx)
+        assert rec.page == 0
+        names = [kids[0] for kids in rec.children]
+        assert [n.status for n in names] == ["failed", "ok"]
+        assert names[1].page == 0
+        assert names[1].matches[0][1] == "Beta"
+        prices = [kids[1] for kids in rec.children]
+        assert [(p.status, p.page) for p in prices] == [("ok", 0), ("ok", 0)]
+        assert [p.matches[0][1] for p in prices] == ["10.00", "20.00"]
+
 
 class TestProcessFlow:
     def test_alternate_page_satisfies_the_plan(self):
@@ -403,6 +435,10 @@ class TestProcessFlow:
         assert [p for p, _ in rec.matches] == [REC0, REC1]
         assert rec.page == 0
         assert [kids[0].page for kids in rec.children] == [1, 1]
+        # the sibling stays on its parent's page
+        prices = [kids[1] for kids in rec.children]
+        assert [(p.status, p.page) for p in prices] == [("ok", 0), ("ok", 0)]
+        assert [p.matches[0][1] for p in prices] == ["10.00", "20.00"]
 
     def test_single_page_bundle_just_fails(self):
         w = build_wrapper(record_triggers=("process_flow",))

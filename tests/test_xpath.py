@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
-from wrapmend.dom import DomTree, enumerate_subtrees, parse_html, resolve, subtree_text
+from wrapmend.dom import DomTree, enumerate_subtrees, parse_html, resolve
 from wrapmend.constraints import DatatypeConstraint, at_least_one, exactly_one
 from wrapmend.xpath import (
     AttrEquals,
@@ -200,7 +201,7 @@ class TestAnchors:
     def test_kinds_detected(self):
         anchors = detect_anchors(PAGE)
         kinds = {a.kind for a in anchors}
-        assert kinds == {"unique_id", "outermost_table", "main_content"}
+        assert kinds == {"unique_id", "outermost_table"}
 
     def test_unique_id_anchor(self):
         anchors = [a for a in detect_anchors(PAGE) if a.kind == "unique_id"]
@@ -220,49 +221,50 @@ class TestAnchors:
         anchors = [a for a in detect_anchors(nested) if a.kind == "outermost_table"]
         assert [a.path for a in anchors] == [(0, 0)]
 
-    def test_main_content_prefers_deep_text_holder(self):
-        anchors = [a for a in detect_anchors(PAGE) if a.kind == "main_content"]
-        assert len(anchors) == 1
-        # the content div holds most of the page text; nav and table do not
-        assert anchors[0].path == (0, 1)
-
-    def test_textless_page_has_no_main_content(self):
-        bare = parse_html("<html><body><div></div></body></html>")
-        kinds = {a.kind for a in detect_anchors(bare)}
-        assert "main_content" not in kinds
-
-    def test_main_content_equals_the_subtree_text_formula(self):
+    def test_anchors_equal_their_definition(self):
         rng = random.Random(3)
         trees = [parse_html(src) for src in scenario_pages()]
         trees += [
             DomTree(root=random_node(rng, max_depth=4, with_text=rng.random() < 0.8))
             for _ in range(60)
         ]
+        trees.append(PAGE)
         for tree in trees:
-            # the deepest node holding at least half of the page's text,
-            # measured as subtree_text measures it
-            total = len(subtree_text(tree.root))
-            want = []
-            if total > 0:
-                best = ()
-                for path, node in enumerate_subtrees(tree):
-                    if len(subtree_text(node)) * 2 >= total and len(path) > len(best):
-                        best = path
-                want = [best]
-            got = [a.path for a in detect_anchors(tree) if a.kind == "main_content"]
-            assert got == want
+            nodes = enumerate_subtrees(tree)
+            ids = [n.attributes.get("id") for _, n in nodes]
+            want = [
+                (path, "unique_id")
+                for path, node in nodes
+                if node.attributes.get("id") and ids.count(node.attributes["id"]) == 1
+            ]
+            want += [
+                (path, "outermost_table")
+                for path, node in nodes
+                if node.label == "table"
+                and all(resolve(tree, path[:k]).label != "table" for k in range(len(path)))
+            ]
+            got = [(a.path, a.kind) for a in detect_anchors(tree)]
+            assert got == sorted(want)
 
     def test_deep_chain_is_fast(self):
         depth = 2000
-        page = parse_html("<div>t" * depth + "</div>" * depth)
+        page = parse_html('<div id="a">' + "<div>t" * depth + "</div>" * (depth + 1))
         start = time.perf_counter()
         anchors = detect_anchors(page)
         elapsed = time.perf_counter() - start
-        # chain node i holds 2 * (depth - i) - 1 of the 2 * depth - 1
-        # characters, at least half while i <= 999; it sits at path
-        # (0,) * (i + 1) under the synthesized root
-        assert [a.path for a in anchors if a.kind == "main_content"] == [(0,) * 1000]
+        assert [(a.path, a.kind) for a in anchors] == [((0,), "unique_id")]
         assert elapsed < 1.0, elapsed
+
+    def test_deep_chain_keeps_little_memory(self):
+        depth = 3000
+        page = parse_html("<div>t" * depth + "</div>" * depth)
+        tracemalloc.start()
+        try:
+            detect_anchors(page)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024, peak
 
 
 class TestGeneratePlan:
@@ -313,18 +315,10 @@ class TestGeneratePlan:
         assert evaluate(positional, PAGE) == [(0, 1, 1, 1)]
 
     def test_priorities_strictly_increase(self):
-        plan = generate_plan(PAGE, (0, 1, 0, 1), use_text=True)
+        plan = generate_plan(PAGE, (0, 1, 0, 1))
         prios = [e.priority for e in plan.fallbacks]
         assert prios == sorted(prios)
         assert len(prios) == len(set(prios))
-
-    def test_text_entry_opt_in(self):
-        with_text = generate_plan(PAGE, (0, 1, 0, 0), use_text=True)
-        tags = {e.tag for e in with_text.fallbacks} | {with_text.best_tag}
-        assert "textual" in tags
-        without = generate_plan(PAGE, (0, 1, 0, 0), use_text=False)
-        tags = {e.tag for e in without.fallbacks} | {without.best_tag}
-        assert "textual" not in tags
 
     def test_anchor_entry_relative_to_id_ancestor(self):
         plan = generate_plan(PAGE, (0, 0, 0, 1))
@@ -354,7 +348,7 @@ class TestGeneratePlan:
         assert evaluate(plan.best, PAGE) == cohort
         # per-node heuristics drop out: nothing in the plan narrows to one
         for entry in plan.fallbacks:
-            assert entry.tag not in ("id", "textual")
+            assert entry.tag != "id"
             assert evaluate(entry.expr, PAGE) == cohort
 
     def test_cohort_positional_uses_index_free_final_step(self):
@@ -379,7 +373,7 @@ class TestGeneratePlan:
             assert evaluate(plan.best, PAGE) == [path], path
 
     def test_plan_serialization_round_trip(self):
-        plan = generate_plan(PAGE, (0, 1, 0, 1), use_text=True)
+        plan = generate_plan(PAGE, (0, 1, 0, 1))
         back = FallbackPlan.from_dict(plan.to_dict())
         assert back == plan
 
