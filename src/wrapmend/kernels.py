@@ -48,9 +48,11 @@ def _key_function(labeler):
 # only key-equal pairs are scored, and a pair with a leaf is scored without
 # a call: it maps just the two children.  Rows never decrease, so for a
 # mismatched pair max(left, up) is already the cell's value, and a child
-# with no key-equal partner leaves the row as it was.  Every cell holds the
-# same number, to the bit, as the full recurrence: max picks among the same
-# values, and each diagonal is the same sum.
+# with no key-equal partner leaves the row as it was.  One row is
+# overwritten in place, left to right; `upleft` keeps the previous row's
+# value of the cell just overwritten, the diagonal's base.  Every cell
+# holds the same number, to the bit, as the full recurrence: max picks
+# among the same values, and each diagonal is the same sum.
 
 
 def _stm(a, b, labeler) -> int:
@@ -63,25 +65,27 @@ def _stm(a, b, labeler) -> int:
 def _stm_eq(a, b, key) -> int:
     bc = b.children
     n = len(bc)
-    keys_b = [key(c) for c in bc]
+    keys_b = list(map(key, bc))
     row = [0] * (n + 1)
     for ca in a.children:
         ka = key(ca)
         if ka not in keys_b:
             continue
-        prev, row = row, [0]
-        for j in range(n):
-            left, up = row[j], prev[j + 1]
+        deep = ca.children
+        left = upleft = 0
+        for j, kb in enumerate(keys_b, 1):
+            up = row[j]
             best = left if left > up else up
-            if keys_b[j] == ka:
-                cb = bc[j]
-                if ca.children and cb.children:
-                    diag = prev[j] + _stm_eq(ca, cb, key)
+            if kb == ka:
+                cb = bc[j - 1]
+                if deep and cb.children:
+                    diag = upleft + _stm_eq(ca, cb, key)
                 else:
-                    diag = prev[j] + 1
+                    diag = upleft + 1
                 if diag > best:
                     best = diag
-            row.append(best)
+            upleft = up
+            row[j] = left = best
     return 1 + row[n]
 
 
@@ -100,25 +104,28 @@ def _wtm_eq(a, b, key) -> float:
     if m == 0 or n == 0:
         return 1.0
     denom = float(max(m, n))
-    keys_b = [key(c) for c in bc]
+    unit = 1.0 / denom
+    keys_b = list(map(key, bc))
     row = [0.0] * (n + 1)
     for ca in ac:
         ka = key(ca)
         if ka not in keys_b:
             continue
-        prev, row = row, [0.0]
-        for j in range(n):
-            left, up = row[j], prev[j + 1]
+        deep = ca.children
+        left = upleft = 0.0
+        for j, kb in enumerate(keys_b, 1):
+            up = row[j]
             best = left if left > up else up
-            if keys_b[j] == ka:
-                cb = bc[j]
-                if ca.children and cb.children:
-                    diag = prev[j] + _wtm_eq(ca, cb, key) / denom
+            if kb == ka:
+                cb = bc[j - 1]
+                if deep and cb.children:
+                    diag = upleft + _wtm_eq(ca, cb, key) / denom
                 else:
-                    diag = prev[j] + 1.0 / denom
+                    diag = upleft + unit
                 if diag > best:
                     best = diag
-            row.append(best)
+            upleft = up
+            row[j] = left = best
     return row[n]
 
 
