@@ -40,14 +40,6 @@ def _dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _strip_adaptation(rule):
-    return replace(
-        rule,
-        adaptation=None,
-        children=tuple(_strip_adaptation(c) for c in rule.children),
-    )
-
-
 def _overall_status(results, new_wrapper) -> str:
     seen = set()
 
@@ -96,9 +88,7 @@ def cmd_run(args) -> int:
     if args.algorithm:
         wrapper = with_algorithm(wrapper, args.algorithm)
     if args.no_adapt:
-        wrapper = replace(
-            wrapper, root_rules=tuple(_strip_adaptation(r) for r in wrapper.root_rules)
-        )
+        wrapper = wrapper.map_rules(lambda _, rule: replace(rule, adaptation=None))
 
     results, reports, new_wrapper = execute_wrapper(
         wrapper, ExecutionContext(pages=tuple(pages))

@@ -187,9 +187,8 @@ def flatten_results(results, prefix: str = "") -> dict:
     for r in results:
         path = prefix + r.rule_name
         bucket = out.setdefault(path, [])
-        for i, (p, _) in enumerate(r.matches):
+        for (p, _), kids in zip(r.matches, r.children, strict=True):
             bucket.append(tuple(p))
-            kids = r.children[i] if i < len(r.children) else ()
             for sub_path, sub_paths in flatten_results(kids, path + "/").items():
                 out.setdefault(sub_path, []).extend(sub_paths)
     return out
@@ -247,17 +246,13 @@ def build_corpus(root, cases: int = 10, rate: float = DEFAULT_RATE, seed: int = 
 def with_algorithm(wrapper: Wrapper, algorithm: str) -> Wrapper:
     """The same wrapper with every rule pinned to one scoring algorithm."""
 
-    def convert(rule):
-        cfg = rule.adaptation
-        if cfg is not None:
-            cfg = replace(cfg, algorithm=algorithm, algorithm_order=())
-        return replace(
-            rule,
-            adaptation=cfg,
-            children=tuple(convert(c) for c in rule.children),
-        )
+    def pin(_, rule):
+        if rule.adaptation is None:
+            return rule
+        cfg = replace(rule.adaptation, algorithm=algorithm, algorithm_order=())
+        return replace(rule, adaptation=cfg)
 
-    return replace(wrapper, root_rules=tuple(convert(r) for r in wrapper.root_rules))
+    return wrapper.map_rules(pin)
 
 
 def evaluate_case(case_dir, algorithm: str = "weighted"):

@@ -308,7 +308,7 @@ def _escape(s: str, table) -> str:
     return re.sub(r"[&<>\"]", lambda m: table.get(m.group(0), m.group(0)), s)
 
 
-def serialize(node, indent: int = 2) -> str:
+def serialize(node) -> str:
     """Canonical serialization: indented, lowercase tags, attributes in
     alphabetical order (serialization only; attribute order on the node is
     source order), text right after the open tag, void elements
@@ -317,11 +317,11 @@ def serialize(node, indent: int = 2) -> str:
     if isinstance(node, DomTree):
         node = node.root
     lines = []
-    _serialize_into(node, indent, lines)
+    _serialize_into(node, lines)
     return "\n".join(lines) + "\n"
 
 
-def _serialize_into(node: DomNode, indent: int, lines: list):
+def _serialize_into(node: DomNode, lines: list):
     # the stack holds nodes still to open, with their depth, and the
     # closing lines of the elements they sit in
     stack = [(node, 0)]
@@ -331,7 +331,7 @@ def _serialize_into(node: DomNode, indent: int, lines: list):
             lines.append(item)
             continue
         node, depth = item
-        pad = " " * (indent * depth)
+        pad = "  " * depth
         parts = [node.label]
         for name in sorted(node.attributes):
             parts.append('%s="%s"' % (name, _escape(node.attributes[name], _ATTR_ESCAPES)))
@@ -376,6 +376,12 @@ def _walk(node, path: NodePath = ()) -> Iterator:
         children = node.children
         if children:
             extend([(path + (i,), children[i]) for i in range(len(children) - 1, -1, -1)])
+
+
+def inside(path: NodePath, top) -> bool:
+    """Whether path lies in the subtree at top, top itself included; a
+    top of None is the document."""
+    return top is None or path[: len(top)] == top
 
 
 def ancestor(tree, path: NodePath, levels: int):

@@ -14,7 +14,8 @@ constraints; a violation triggers the adaptation pipeline:
      datatypes).
   3. the template is generalized/refined with the matched subtrees.
   4. if configured, the stored example and locator plan are regenerated
-     from the top-ranked match and the chosen threshold is written back.
+     from the top-ranked match; the chosen threshold is recorded as the
+     config's last_chosen.
 
 The executor applies the trigger cascade as it evaluates.  When every
 result of a child rule with bottom_up fails, its parent is force-adapted
@@ -41,7 +42,7 @@ from wrapmend.constraints import (
     DatatypeConstraint,
     validate_results,
 )
-from wrapmend.dom import DomTree, PathError, detach_subtree, resolve
+from wrapmend.dom import DomTree, PathError, detach_subtree, inside, resolve
 from wrapmend.matching import best_matches
 from wrapmend.model import Rule, StoredExample, Wrapper
 from wrapmend.template import GeneralizeError, generalize, refine, template_match
@@ -62,30 +63,17 @@ class AdaptationFailed(Exception):
 
 @dataclass
 class ExecutionContext:
-    """A snapshot bundle: the primary page plus alternates standing in
-    for other windows/tabs.  current is the page that execute_wrapper
-    starts on and that adapt_rule repairs against; execution never
-    changes it, and a process_flow advance reaches later pages by index."""
+    """A snapshot bundle: the primary page, where execute_wrapper starts,
+    plus alternates standing in for other windows/tabs, which a
+    process_flow advance reaches by index."""
 
     pages: tuple
-    current: int = 0
     clock: object = None  # callable returning an ISO timestamp string
 
     def __post_init__(self):
         self.pages = tuple(self.pages)
         if not self.pages:
             raise ValueError("page bundle must be non-empty")
-        if not 0 <= self.current < len(self.pages):
-            raise ValueError("current index out of range")
-
-    @property
-    def page(self) -> DomTree:
-        return self.pages[self.current]
-
-    def now(self) -> str:
-        if self.clock is not None:
-            return self.clock()
-        return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 @dataclass
@@ -98,8 +86,7 @@ class ExtractionResult:
 
     def to_dict(self) -> dict:
         out = {"rule": self.rule_name, "status": self.status, "page": self.page, "matches": []}
-        for i, (path, text) in enumerate(self.matches):
-            kids = self.children[i] if i < len(self.children) else ()
+        for (path, text), kids in zip(self.matches, self.children, strict=True):
             out["matches"].append(
                 {
                     "path": list(path),
@@ -155,37 +142,31 @@ def threshold_search(scores, threshold, accept):
     raise Unsatisfiable("no threshold in [%g, %g] is accepted" % (low, high))
 
 
-def _inside(path, context) -> bool:
-    """Whether path lies in the subtree at context; None is the document."""
-    return context is None or path[: len(context)] == context
-
-
 def _config_summary(rule: Rule) -> dict:
-    cfg = rule.adaptation
-    thr = cfg.threshold
+    cfg = rule.adaptation.to_dict()
     return {
         "xpath_best": rule.plan.best.to_string(),
-        "threshold": {"low": thr[0], "high": thr[1]}
-        if isinstance(thr, tuple)
-        else {"constant": thr},
-        "last_chosen": cfg.last_chosen,
+        "threshold": cfg["threshold"],
+        "last_chosen": cfg["last_chosen"],
     }
 
 
 def adapt_rule(
     rule: Rule,
-    ctx: ExecutionContext,
+    page: DomTree,
     *,
+    clock=None,
     constraints=None,
     context_paths=None,
     trigger: str = "constraint_violation",
     force: bool = False,
     rule_path: Optional[str] = None,
 ):
-    """Run the repair pipeline for one rule.  Returns (new rule, report);
-    the rule comes back identical when a template rescue sufficed.
-    Raises AdaptationFailed when nothing in the allowed threshold range
-    satisfies the constraints."""
+    """Run the repair pipeline for one rule on one page.  clock, when
+    given, returns the ISO timestamp a new stored example records.
+    Returns (new rule, report); the rule comes back identical when a
+    template rescue sufficed.  Raises AdaptationFailed when nothing in
+    the allowed threshold range satisfies the constraints."""
     name = rule_path or rule.name
     cfg = rule.adaptation
 
@@ -205,28 +186,27 @@ def adapt_rule(
         raise failure(["rule has no adaptation config"])
     if constraints is None:
         constraints = rule.constraints
-    page = ctx.page
-    card = [c for c in constraints if isinstance(c, CardinalityConstraint)]
-    data = [c for c in constraints if isinstance(c, DatatypeConstraint)]
     ctxs = None
     if context_paths is not None:
         ctxs = [tuple(c) for c in context_paths if c is not None]
         if len(ctxs) != len(list(context_paths)):
             ctxs = None  # a document context admits everything
     parents = len(ctxs) if ctxs is not None else 1
+    # bounds hold per context, and admit counts the results of all contexts
+    card = [
+        CardinalityConstraint(
+            c.min_count * parents,
+            None if c.max_count is None else c.max_count * parents,
+        )
+        for c in constraints
+        if isinstance(c, CardinalityConstraint)
+    ]
+    data = [c for c in constraints if isinstance(c, DatatypeConstraint)]
     stored = rule.stored_example
     residual = stored.residual_path if stored is not None else ()
 
     def within(path) -> bool:
-        return ctxs is None or any(_inside(path, c) for c in ctxs)
-
-    def counts_ok(n: int) -> bool:
-        for c in card:
-            lo = c.min_count * parents
-            hi = None if c.max_count is None else c.max_count * parents
-            if n < lo or (hi is not None and n > hi):
-                return False
-        return True
+        return ctxs is None or any(inside(path, c) for c in ctxs)
 
     def admit(paths):
         """(path, target, node) for every path whose residual resolves,
@@ -240,7 +220,11 @@ def adapt_rule(
                 continue  # matched subtree too shallow for the residual
             found.append((p, target, node))
         results = [(target, node.text) for _, target, node in found]
-        if found and counts_ok(len(found)) and not validate_results(results, data):
+        if (
+            found
+            and all(c.admits(len(found)) for c in card)
+            and not validate_results(results, data)
+        ):
             return found
         return None
 
@@ -317,13 +301,17 @@ def adapt_rule(
             subtree=detach_subtree(resolve(page, top)),
             residual_path=stored.residual_path,
             captured_from=page.source_id,
-            captured_at=ctx.now(),
+            captured_at=(
+                clock()
+                if clock is not None
+                else datetime.now(timezone.utc).isoformat(timespec="seconds")
+            ),
         )
         plan_context = None
         plan_targets = targets
         if ctxs is not None:
-            plan_context = next(c for c in ctxs if _inside(top_target, c))
-            plan_targets = [t for t in targets if _inside(t, plan_context)]
+            plan_context = next(c for c in ctxs if inside(top_target, c))
+            plan_targets = [t for t in targets if inside(t, plan_context)]
         try:
             new_plan = generate_plan(
                 page,
@@ -334,16 +322,12 @@ def adapt_rule(
         except XPathError as e:
             notes.append("plan kept: %s" % (e,))
 
-    # 4. write the settled threshold back into the config
-    new_threshold = cfg.threshold if isinstance(cfg.threshold, tuple) else chosen
-    new_cfg = replace(cfg, threshold=new_threshold, last_chosen=chosen)
-
     new_rule = replace(
         rule,
         plan=new_plan,
         stored_example=new_stored,
         template=new_template,
-        adaptation=new_cfg,
+        adaptation=replace(cfg, last_chosen=chosen),
     )
     report = AdaptationReport(
         rule_name=name,
@@ -375,7 +359,7 @@ class _Executor:
 
     def run(self):
         return [
-            self._eval(rule, rule.name, [None], "constraint_violation", self.ctx.current)[0]
+            self._eval(rule, rule.name, [None], "constraint_violation", 0)[0]
             for rule in self.wrapper.root_rules
         ]
 
@@ -399,7 +383,8 @@ class _Executor:
         try:
             new_rule, report = adapt_rule(
                 rule,
-                replace(self.ctx, current=page),
+                self.ctx.pages[page],
+                clock=self.ctx.clock,
                 constraints=constraints,
                 context_paths=contexts,
                 trigger=trigger,
@@ -451,7 +436,7 @@ class _Executor:
         return ok, per_ctx
 
     def _partition(self, targets, contexts):
-        return [sorted(t for t in targets if _inside(t, c)) for c in contexts]
+        return [sorted(t for t in targets if inside(t, c)) for c in contexts]
 
     # -- evaluation
 
@@ -564,24 +549,14 @@ class _Executor:
     def build_wrapper(self):
         if not self.changed:
             return None
-
-        def rebuild(rule, path):
-            base = self.changed.get(path, rule)
-            kids = tuple(rebuild(c, path + "/" + c.name) for c in rule.children)
-            return replace(base, children=kids)
-
-        return Wrapper(
-            name=self.wrapper.name,
-            version=self.wrapper.version + 1,
-            root_rules=tuple(rebuild(r, r.name) for r in self.wrapper.root_rules),
-            constraints=self.wrapper.constraints,
-        )
+        new = self.wrapper.map_rules(lambda path, rule: self.changed.get(path, rule))
+        return replace(new, version=self.wrapper.version + 1)
 
 
 def execute_wrapper(wrapper: Wrapper, ctx: ExecutionContext, max_cascade_depth: int = 3):
     """Returns (results per root rule, adaptation reports, new wrapper or
-    None when nothing changed).  Evaluation starts on ctx.current, which
-    is never changed."""
+    None when nothing changed).  Evaluation starts on the bundle's first
+    page."""
     executor = _Executor(wrapper, ctx, max_cascade_depth)
     results = executor.run()
     return results, executor.reports, executor.build_wrapper()

@@ -14,7 +14,7 @@ package and enforced on load.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
@@ -277,6 +277,19 @@ class Wrapper:
                 yield from walk(rule.children, path)
 
         yield from walk(self.root_rules, "")
+
+    def map_rules(self, fn) -> "Wrapper":
+        """The wrapper with each rule replaced by fn("parent/child" path,
+        rule), called depth first as iter_rules yields.  A replacement
+        keeps the mapped children of the rule it replaced, whatever
+        children fn gave it."""
+
+        def walk(rule, path):
+            new = fn(path, rule)
+            kids = tuple(walk(c, path + "/" + c.name) for c in rule.children)
+            return replace(new, children=kids)
+
+        return replace(self, root_rules=tuple(walk(r, r.name) for r in self.root_rules))
 
     def find_rule(self, path: str) -> Rule:
         for candidate, rule in self.iter_rules():

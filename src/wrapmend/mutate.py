@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from wrapmend.dom import DomNode, DomTree, _P_CLOSERS, _walk
+from wrapmend.dom import DomNode, DomTree, _P_CLOSERS, _walk, detach_subtree
 
 OPERATIONS = (
     "rename_attribute",
@@ -63,67 +63,48 @@ class MutationSpec:
         )
 
 
-class _MNode:
-    """Mutable mirror node; uid is the path in the original tree."""
-
-    __slots__ = ("label", "attributes", "text", "children", "parent", "uid")
-
-    def __init__(self, label, attributes, text, uid, parent):
-        self.label = label
-        self.attributes = dict(attributes)
-        self.text = text
-        self.children = []
-        self.parent = parent
-        self.uid = uid
+def _index(children: list, node: DomNode) -> int:
+    # by identity: DomNode equality is structural, and an equal sibling
+    # (a duplicated record, say) must not stand in for this node
+    for i, c in enumerate(children):
+        if c is node:
+            return i
+    raise ValueError("node is not a child")
 
 
-def _mirror(node: DomNode, uid, parent) -> _MNode:
-    m = _MNode(node.label, node.attributes, node.text, uid, parent)
-    for i, c in enumerate(node.children):
-        m.children.append(_mirror(c, uid + (i,), m))
-    return m
-
-
-def _copy_unlabeled(node: _MNode, parent) -> _MNode:
-    m = _MNode(node.label, node.attributes, node.text, None, parent)
-    for c in node.children:
-        m.children.append(_copy_unlabeled(c, m))
-    return m
-
-
-def _attached(node: _MNode, root: _MNode) -> bool:
-    while node.parent is not None:
-        node = node.parent
+def _attached(node: DomNode, parents: dict, root: DomNode) -> bool:
+    up = parents[id(node)]
+    while up is not None:
+        node, up = up, parents[id(up)]
     return node is root
 
 
-def _applicable(op: str, node: _MNode, depth: int) -> bool:
+def _applicable(op: str, node: DomNode, parent, depth: int) -> bool:
     if op == "rename_attribute" or op == "drop_attribute":
         return bool(node.attributes)
     if op == "insert_wrapper_element":
-        return node.parent is not None
+        return parent is not None
     if op == "remove_level":
-        if node.parent is None or not node.children:
+        if parent is None or not node.children:
             return False
         # splicing block children under a p restructures on reparse
-        if node.parent.label == "p" and any(
-            c.label in _P_CLOSERS for c in node.children
-        ):
+        if parent.label == "p" and any(c.label in _P_CLOSERS for c in node.children):
             return False
         return True
     if op == "reorder_siblings":
         return len(node.children) >= 2
     if op == "duplicate_record":
-        return node.parent is not None
+        return parent is not None
     if op == "change_class_value":
         return "class" in node.attributes
     if op == "delete_region":
-        return node.parent is not None and depth >= 2
+        return parent is not None and depth >= 2
     raise ValueError(op)
 
 
-def _apply(op: str, node: _MNode, rng: random.Random) -> None:
-    parent = node.parent
+def _apply(op: str, node: DomNode, parents: dict, rng: random.Random) -> None:
+    """Edit the tree in place, keeping `parents` (id -> parent) current."""
+    parent = parents[id(node)]
     if op == "rename_attribute":
         key = rng.choice(sorted(node.attributes))
         value = node.attributes.pop(key)
@@ -133,69 +114,67 @@ def _apply(op: str, node: _MNode, rng: random.Random) -> None:
         del node.attributes[key]
     elif op == "insert_wrapper_element":
         # span nests anywhere without implied-close interference
-        wrapper = _MNode("span", {"class": "wrap"}, "", None, parent)
-        idx = parent.children.index(node)
-        parent.children[idx] = wrapper
-        wrapper.children.append(node)
-        node.parent = wrapper
+        wrapper = DomNode("span", {"class": "wrap"}, "", [node])
+        parent.children[_index(parent.children, node)] = wrapper
+        parents[id(wrapper)] = parent
+        parents[id(node)] = wrapper
     elif op == "remove_level":
-        idx = parent.children.index(node)
+        idx = _index(parent.children, node)
         parent.children[idx:idx + 1] = node.children
         for c in node.children:
-            c.parent = parent
+            parents[id(c)] = parent
         node.children = []
-        node.parent = None
+        parents[id(node)] = None
     elif op == "reorder_siblings":
         rng.shuffle(node.children)
     elif op == "duplicate_record":
-        copy = _copy_unlabeled(node, parent)
-        idx = parent.children.index(node)
-        parent.children.insert(idx + 1, copy)
+        parent.children.insert(_index(parent.children, node) + 1, detach_subtree(node))
     elif op == "change_class_value":
         node.attributes["class"] = node.attributes["class"] + "-v2"
     elif op == "delete_region":
-        parent.children.remove(node)
-        node.parent = None
+        del parent.children[_index(parent.children, node)]
+        parents[id(node)] = None
     else:
         raise ValueError(op)
 
 
 def mutate_tree(tree: DomTree, spec: MutationSpec):
-    """Returns (mutated DomTree, truth map original path -> new path | None)."""
+    """Returns (mutated DomTree, truth map original path -> new path | None).
+    The operations edit a detached copy of the page, so the input tree is
+    left as it was."""
     rng = random.Random(spec.seed)
-    root = _mirror(tree.root, (), None)
+    root = detach_subtree(tree.root)
+    # every node of the copy, with its original path, in document order.
+    # The list keeps them all alive for the whole call, so no id in the
+    # maps below can be reused by a node made later.
+    originals = list(_walk(root))
+    origin = {id(node): path for path, node in originals}
+    parents = {id(root): None}
+    for _, node in originals:
+        for c in node.children:
+            parents[id(c)] = node
 
-    # selection pass on the pristine mirror, one rate draw per node
+    # selection pass on the pristine copy, one rate draw per node
     selected = []
-    uids = []
-    for path, node in _walk(root):
-        uids.append(node.uid)
+    for path, node in originals:
         if rng.random() < spec.rate:
             depth = len(path)
-            ops = [op for op in spec.operations if _applicable(op, node, depth)]
+            parent = parents[id(node)]
+            ops = [op for op in spec.operations if _applicable(op, node, parent, depth)]
             if ops:
                 selected.append((node, rng.choice(ops), depth))
 
     for node, op, depth in selected:
         # earlier operations may have detached this node or changed its shape
-        if not _attached(node, root):
+        if not _attached(node, parents, root):
             continue
-        if not _applicable(op, node, depth):
+        if not _applicable(op, node, parents[id(node)], depth):
             continue
-        _apply(op, node, rng)
+        _apply(op, node, parents, rng)
 
-    new_root = _rebuild(root)
-    mutated = DomTree(root=new_root, source_id=tree.source_id)
-
-    final = {node.uid: path for path, node in _walk(root) if node.uid is not None}
-    truth = {uid: final.get(uid) for uid in uids}
-    return mutated, truth
-
-
-def _rebuild(m: _MNode) -> DomNode:
-    return DomNode(
-        m.label, dict(m.attributes), m.text, [_rebuild(c) for c in m.children]
-    )
+    final = {origin[id(n)]: p for p, n in _walk(root) if id(n) in origin}
+    truth = {path: final.get(path) for path, _ in originals}
+    return DomTree(root=root, source_id=tree.source_id), truth
 
 
 def path_to_str(path) -> str:

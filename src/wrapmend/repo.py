@@ -139,9 +139,6 @@ class WrapperStore:
             raise NotFoundError("no wrapper named %r" % (name,))
         return records, keep, sep
 
-    def _read_log(self, name: str) -> list:
-        return self._scan_log(name)[0]
-
     def commit(self, wrapper: Wrapper, summary=(), timestamp=None) -> VersionRecord:
         """Persist one new version; wrapper.version must be latest + 1."""
         wdir = self._dir(wrapper.name)
@@ -201,7 +198,7 @@ class WrapperStore:
                 fcntl.flock(lock, fcntl.LOCK_UN)
 
     def checkout(self, name: str, version="latest") -> Wrapper:
-        records = self._read_log(name)
+        records = self.history(name)
         if version == "latest":
             record = records[-1]
         else:
@@ -224,7 +221,7 @@ class WrapperStore:
             raise CorruptionError("unreadable content for %s v%d: %s" % (name, record.version, e))
 
     def history(self, name: str) -> list:
-        return self._read_log(name)
+        return self._scan_log(name)[0]
 
     def names(self) -> list:
         """Wrapper names present in the store, sorted."""

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from wrapmend.dom import DomTree, NodePath, _walk, resolve
+from wrapmend.dom import DomTree, NodePath, _walk, inside, resolve
 from wrapmend.constraints import validate_results
 
 
@@ -370,7 +370,7 @@ def generate_plan(
     node = resolve(tree, target)
     relative = context_path is not None
     base = tuple(context_path) if relative else None
-    if relative and (len(target) < len(base) or target[:len(base)] != base):
+    if relative and not inside(target, base):
         raise XPathError("target %r is not inside context %r" % (target, base))
     wanted = sorted(tuple(p) for p in cohort) if cohort else [target]
     if target not in wanted:
@@ -434,9 +434,8 @@ def generate_plan(
         if prio_anchor >= PRIO_POSITIONAL:
             break
         apath = anchor.path
-        if not (len(apath) < len(target) and target[:len(apath)] == apath):
-            continue
-        if base is not None and (len(apath) < len(base) or apath[:len(base)] != base):
+        # an anchor strictly above the target, inside the scope
+        if apath == target or not inside(target, apath) or not inside(apath, base):
             continue
         if anchor.kind == "unique_id":
             anchor_id = resolve(tree, apath).attributes["id"]
@@ -491,7 +490,7 @@ def _fragment_patterns(value: str):
     return out
 
 
-def _position_of(tree, parent_node, index) -> Optional[int]:
+def _position_of(parent_node, index) -> Optional[int]:
     """1-based position of child `index` among same-label siblings, or None
     when the label is unambiguous (no index needed)."""
     label = parent_node.children[index].label
@@ -508,7 +507,7 @@ def _steps_between(tree, top: NodePath, target: NodePath):
     node = resolve(tree, top)
     for depth in range(len(top), len(target)):
         idx = target[depth]
-        pos = _position_of(tree, node, idx)
+        pos = _position_of(node, idx)
         child = node.children[idx]
         preds = (Position(pos),) if pos is not None else ()
         steps.append(Step("child", child.label, preds))
@@ -523,14 +522,14 @@ def _cohort_tail(tree, top: NodePath, wanted):
     that shape does not hold)."""
     if len(wanted) == 1:
         target = wanted[0]
-        if not (len(top) <= len(target) and target[:len(top)] == top):
+        if not inside(target, top):
             return None
         return _steps_between(tree, top, target)
     parents = {p[:-1] for p in wanted}
     if len(parents) != 1 or any(not p for p in wanted):
         return None
     parent = parents.pop()
-    if not (len(top) <= len(parent) and parent[:len(top)] == top):
+    if not inside(parent, top):
         return None
     labels = {resolve(tree, p).label for p in wanted}
     if len(labels) != 1:

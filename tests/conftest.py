@@ -42,6 +42,12 @@ def random_tree(rng: random.Random, **kw) -> DomTree:
     return DomTree(root=random_node(rng, **kw))
 
 
+def deep_page(depth: int) -> str:
+    """A chain of `depth` divs, each owning text and a class."""
+    opened = "".join('<div class="c%d">t%d' % (i % 3, i) for i in range(depth))
+    return "<html><body>%s%s</body></html>" % (opened, "</div>" * depth)
+
+
 def scenario_pages(cases: int = 2) -> list:
     """For each corpus scenario and case, the intact listing as
     corpus.generate_page writes it and the damaged page as mutate_tree and

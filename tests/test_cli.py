@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import deep_page
 from wrapmend.cli import main
 from wrapmend.corpus import author_wrapper, build_corpus
 from wrapmend.dom import parse_html, serialize
@@ -255,6 +256,18 @@ class TestMutate:
 
     def test_missing_page_is_usage_error(self, workdir, capsys):
         assert main(["mutate", str(workdir / "nope.html")]) == 2
+
+    def test_page_nested_1200_deep(self, workdir, capsys):
+        page = workdir / "deep.html"
+        page.write_text(deep_page(1200))
+        rc, doc = run_json(
+            capsys, ["--format", "json", "mutate", str(page), "--rate", "0.2"]
+        )
+        assert rc == 0
+        assert doc["nodes"] == 1202 and doc["moved_or_deleted"] > 0
+        truth = json.loads((workdir / "deep.truth.json").read_text())
+        assert len(truth["mapping"]) == 1202
+        parse_html((workdir / "deep.mutated.html").read_text())
 
 
 @pytest.fixture(scope="module")

@@ -109,6 +109,12 @@ class TestFlatten:
         page = page_for()
         w = author_wrapper(page)
         results, _, _ = execute_wrapper(w, ExecutionContext(pages=(page,)))
+        # every match carries one tuple of child results, at every level
+        stack = list(results)
+        while stack:
+            r = stack.pop()
+            assert len(r.children) == len(r.matches)
+            stack.extend(kid for kids in r.children for kid in kids)
         flat = flatten_results(results)
         assert all(isinstance(p, tuple) for p in flat["record"])
         # child paths extend some record path

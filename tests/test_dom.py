@@ -25,7 +25,7 @@ from wrapmend.dom import (
 )
 from wrapmend.model import wrapper_from_dict, wrapper_json
 
-from conftest import build_node, random_tree, scenario_pages
+from conftest import build_node, deep_page, random_tree, scenario_pages
 
 # the malformed and edge-case sources of TestParse and TestSnippet
 MALFORMED = (
@@ -306,12 +306,6 @@ class TestAccessors:
         assert build_node("a", build_node("b")) != build_node("a")
         assert build_node("a", build_node("b", text="x")) != build_node("a", build_node("b"))
         assert build_node("a", text="t") != build_node("a", text="u")
-
-
-def deep_page(depth: int) -> str:
-    """A chain of `depth` divs, each owning text and a class."""
-    opened = "".join('<div class="c%d">t%d' % (i % 3, i) for i in range(depth))
-    return "<html><body>%s%s</body></html>" % (opened, "</div>" * depth)
 
 
 @pytest.mark.parametrize("depth", [1200, 3000])

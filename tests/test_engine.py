@@ -410,7 +410,6 @@ class TestProcessFlow:
             pages=(parse_html(EMPTY_HTML, source_id="p0"), original_page("p1"))
         )
         results, reports, new_w = execute_wrapper(w, ctx)
-        assert ctx.current == 0  # the caller's index is restored
         (rec,) = results
         assert rec.status == "ok"
         assert [p for p, _ in rec.matches] == [REC0, REC1]
@@ -445,42 +444,20 @@ class TestProcessFlow:
         ctx = ctx_for(EMPTY_HTML)
         results, reports, new_w = execute_wrapper(w, ctx)
         assert results[0].status == "failed"
-        assert ctx.current == 0
         assert new_w is None
 
-    def test_caller_index_restored_so_reruns_repeat(self):
+    def test_reruns_over_one_bundle_repeat(self):
         w = build_wrapper(record_triggers=("process_flow",))
         ctx = ExecutionContext(
             pages=(parse_html(EMPTY_HTML, source_id="p0"), original_page("p1"))
         )
         first = execute_wrapper(w, ctx)
-        assert ctx.current == 0
         # a second run over the same bundle starts from the primary page
         # again, so it fails there and advances exactly as the first did
         second = execute_wrapper(w, ctx)
-        assert ctx.current == 0
         assert [r.to_dict() for r in second[0]] == [r.to_dict() for r in first[0]]
         assert len(second[1]) == len(first[1]) == 1
         assert not second[1][0].succeeded
-
-    def test_caller_index_restored_on_raise(self, monkeypatch):
-        import wrapmend.engine as engine
-
-        w = build_wrapper(record_triggers=("process_flow",))
-        ctx = ExecutionContext(
-            pages=(parse_html(EMPTY_HTML, source_id="p0"), original_page("p1"))
-        )
-        real_apply = engine.apply_plan
-
-        def apply_or_raise(plan, page, *args, **kwargs):
-            if page.source_id == "p1":
-                raise RuntimeError("alternate page unreadable")
-            return real_apply(plan, page, *args, **kwargs)
-
-        monkeypatch.setattr(engine, "apply_plan", apply_or_raise)
-        with pytest.raises(RuntimeError):
-            execute_wrapper(w, ctx)
-        assert ctx.current == 0
 
 
 class TestAdaptRuleDirect:
@@ -489,7 +466,7 @@ class TestAdaptRuleDirect:
         record = w.find_rule("record")
         bare = Rule(name="solo", plan=record.plan, constraints=record.constraints)
         with pytest.raises(AdaptationFailed) as exc:
-            adapt_rule(bare, ctx_for(WRAPPED_HTML))
+            adapt_rule(bare, parse_html(WRAPPED_HTML))
         assert not exc.value.report.succeeded
 
     def test_no_stored_example(self):
@@ -502,40 +479,39 @@ class TestAdaptRuleDirect:
             adaptation=record.adaptation,
         )
         with pytest.raises(AdaptationFailed) as exc:
-            adapt_rule(rule, ctx_for(WRAPPED_HTML))
+            adapt_rule(rule, parse_html(WRAPPED_HTML))
         assert "stored" in str(exc.value)
 
     def test_unsatisfiable_page_reports_failure(self):
         w = build_wrapper()
         record = w.find_rule("record")
         with pytest.raises(AdaptationFailed) as exc:
-            adapt_rule(record, ctx_for(EMPTY_HTML), constraints=record.constraints)
+            adapt_rule(record, parse_html(EMPTY_HTML), constraints=record.constraints)
         assert exc.value.report.trigger == "constraint_violation"
         assert exc.value.report.candidates == ()
 
     def test_successful_repair_returns_new_rule(self):
         w = build_wrapper()
         record = w.find_rule("record")
-        ctx = ctx_for(WRAPPED_HTML)
-        new_rule, report = adapt_rule(record, ctx, constraints=record.constraints)
+        page = parse_html(WRAPPED_HTML)
+        new_rule, report = adapt_rule(record, page, constraints=record.constraints)
         assert new_rule is not record
         assert report.resolved == (ITEM0, ITEM1)
-        page = ctx.page
         assert resolve(page, report.resolved[0]).attributes["class"] == "item"
 
     def test_context_paths_scope_the_search(self):
         # restricted to the second item, exactly-one is satisfiable
         w = build_wrapper()
         price = w.find_rule("record/price")
-        ctx = ctx_for(WRAPPED_COST_HTML)
+        page = parse_html(WRAPPED_COST_HTML)
         new_rule, report = adapt_rule(
             price,
-            ctx,
+            page,
             constraints=price.constraints,
             context_paths=[ITEM1],
         )
         assert report.resolved == (ITEM1 + (1,),)
-        assert resolve(ctx.page, report.resolved[0]).text == "20.00"
+        assert resolve(page, report.resolved[0]).text == "20.00"
 
 
 class TestAttemptBudget:
@@ -557,17 +533,12 @@ class TestAttemptBudget:
         assert results[0].status == "failed"
         record_attempts = [r for r in reports if r.rule_name == "record"]
         assert 1 <= len(record_attempts) <= 3 * len(pages)
-        assert ctx.current == 0  # the caller's index is restored
 
 
 class TestContextValidation:
     def test_empty_bundle_rejected(self):
         with pytest.raises(ValueError):
             ExecutionContext(pages=())
-
-    def test_current_out_of_range(self):
-        with pytest.raises(ValueError):
-            ExecutionContext(pages=(original_page(),), current=3)
 
     def test_custom_clock_lands_in_stored_example(self):
         w = build_wrapper()

@@ -1,6 +1,7 @@
 """Wrapper model: validation, capture, JSON round trips, schema gate."""
 
 import json
+from dataclasses import replace
 from importlib import resources
 
 import jsonschema
@@ -229,6 +230,28 @@ class TestRuleAndWrapper:
         assert w.find_rule("record/price").name == "price"
         with pytest.raises(KeyError):
             w.find_rule("record/title")
+
+    def test_map_rules_paths_and_children(self):
+        w = sample_wrapper()
+        seen = []
+
+        def fn(path, rule):
+            seen.append(path)
+            # the children fn gives are replaced by the mapped ones
+            return replace(rule, plan=plan("//p", "positional"), children=())
+
+        mapped = w.map_rules(fn)
+        assert seen == ["record", "record/price"]
+        assert [p for p, _ in mapped.iter_rules()] == ["record", "record/price"]
+        assert {r.plan.best.to_string() for _, r in mapped.iter_rules()} == {"//p"}
+        assert (mapped.name, mapped.version, mapped.constraints) == (
+            w.name,
+            w.version,
+            w.constraints,
+        )
+        # the input is left alone, and the identity map changes nothing
+        assert wrapper_json(w) == wrapper_json(sample_wrapper())
+        assert wrapper_json(w.map_rules(lambda _, rule: rule)) == wrapper_json(w)
 
 
 def assert_schema_rejects(d):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_tree
+from conftest import deep_page, random_tree
 from wrapmend.corpus import DEFAULT_RATE, SCENARIOS, generate_page
 from wrapmend.dom import parse_html, resolve, serialize
 from wrapmend.mutate import (
@@ -148,6 +148,45 @@ class TestOperations:
 
 def _all_paths_of(tree):
     return _all_paths(tree)
+
+
+EQUAL_SIBLINGS_HTML = "<html><body><div><i>x</i><i>x</i><i>x</i></div></body></html>"
+# the three <i> are equal as DomNodes; the operation must land on the one
+# the rng chose, the last, and not on the first equal sibling
+EQUAL_SIBLINGS_TRUTH = {
+    "delete_region": {(0, 0, 0): (0, 0, 0), (0, 0, 1): (0, 0, 1), (0, 0, 2): None},
+    "insert_wrapper_element": {
+        (0, 0, 0): (0, 0, 0),
+        (0, 0, 1): (0, 0, 1),
+        (0, 0, 2): (0, 0, 2, 0),
+    },
+    "duplicate_record": {(0, 0, 0): (0, 0, 0), (0, 0, 1): (0, 0, 1), (0, 0, 2): (0, 0, 2)},
+}
+
+
+@pytest.mark.parametrize("op", sorted(EQUAL_SIBLINGS_TRUTH))
+def test_operations_find_their_node_among_equal_siblings(op):
+    tree = parse_html(EQUAL_SIBLINGS_HTML)
+    _, truth = mutate_tree(tree, only(op, seed=3, rate=0.3))
+    expected = {(): (), (0,): (0,), (0, 0): (0, 0)}
+    expected.update(EQUAL_SIBLINGS_TRUTH[op])
+    assert truth == expected
+
+
+class TestDeepPage:
+    DEPTH = 1200
+
+    def test_mutates_a_chain_1200_deep(self):
+        tree = parse_html(deep_page(self.DEPTH))
+        before = serialize(tree)
+        mutated, truth = mutate_tree(tree, MutationSpec(seed=1, rate=0.2))
+        assert serialize(tree) == before  # the input is not edited
+        assert len(truth) == self.DEPTH + 2
+        assert any(new != orig for orig, new in truth.items())
+        assert parse_html(serialize(mutated)) == mutated
+        for orig, new in truth.items():
+            if new is not None:
+                assert resolve(mutated, new).label == resolve(tree, orig).label
 
 
 class TestTruthValidity:
