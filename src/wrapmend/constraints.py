@@ -65,7 +65,10 @@ class DatatypeConstraint:
         if self.datatype == "pattern":
             if not self.pattern:
                 raise ValueError("pattern datatype requires a pattern")
-            re.compile(self.pattern)
+            try:
+                re.compile(self.pattern)
+            except re.error as exc:
+                raise ValueError("bad pattern %r: %s" % (self.pattern, exc))
 
     @property
     def kind(self) -> str:

@@ -8,7 +8,9 @@ adaptation config, a stored example subtree, and a learned template.
 Wrapper values are immutable by convention: execution never mutates one,
 adaptation builds a new value with a bumped version.  The JSON file
 format is pinned by schema/wrapper-v1.schema.json, shipped with the
-package and enforced on load.
+package and enforced on load: a file the format checks below certify is
+built directly, and any other is judged and worded by jsonschema, which
+is imported only then.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ import json
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
-
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from wrapmend.dom import (
     DomNode,
@@ -30,9 +29,9 @@ from wrapmend.dom import (
     resolve,
     serialize,
 )
-from wrapmend.constraints import constraint_from_dict
+from wrapmend.constraints import DATATYPES, constraint_from_dict
 from wrapmend.matching import DEFAULT_LABELER, Labeler
-from wrapmend.template import TreeTemplate
+from wrapmend.template import OCCURRENCES, TreeTemplate
 from wrapmend.xpath import FallbackPlan
 
 
@@ -335,10 +334,13 @@ _validator_cache = None
 
 
 def _validator():
-    """The shipped schema's validator, built and metaschema-checked once
-    per process."""
+    """The shipped schema's validator, imported, built and
+    metaschema-checked on first use; a process that only accepts
+    wrappers never uses it."""
     global _validator_cache
     if _validator_cache is None:
+        from jsonschema.validators import validator_for
+
         text = (
             resources.files("wrapmend")
             .joinpath("schema/wrapper-v1.schema.json")
@@ -351,15 +353,213 @@ def _validator():
     return _validator_cache
 
 
+# Rules and templates may nest this many levels, a rule's template one
+# level below the rule: deeper files are refused before anything recurses.
+MAX_NESTING = 100
+
+# The format checks: each mirrors one $def of the schema and says yes only
+# when the value certainly matches it.  They are stricter in places (an
+# integer must be an int, so 1.0 is left to the schema), which only sends a
+# file to the validator; they are never looser, and never raise.
+
+
+def _int(v, minimum=None) -> bool:
+    return type(v) is int and (minimum is None or v >= minimum)
+
+
+def _number(v) -> bool:
+    return type(v) is int or type(v) is float
+
+
+def _text(v) -> bool:
+    return isinstance(v, str) and v != ""
+
+
+def _one_of(v, choices) -> bool:
+    return isinstance(v, str) and v in choices
+
+
+def _all(items, check) -> bool:
+    return isinstance(items, list) and all(check(v) for v in items)
+
+
+def _constraint(c) -> bool:
+    if not isinstance(c, dict):
+        return False
+    kind = c.get("kind")
+    if kind == "cardinality":
+        return (
+            c.keys() <= {"kind", "min", "max"}
+            and _int(c.get("min"), 0)
+            and (c.get("max") is None or _int(c["max"], 0))
+        )
+    return (
+        kind == "datatype"
+        and c.keys() <= {"kind", "datatype", "pattern"}
+        and _one_of(c.get("datatype"), DATATYPES)
+        and (c.get("pattern") is None or isinstance(c["pattern"], str))
+    )
+
+
+def _plan_entry(f) -> bool:
+    return (
+        isinstance(f, dict)
+        and f.keys() == {"expr", "tag", "priority"}
+        and _text(f["expr"])
+        and _text(f["tag"])
+        and _int(f["priority"])
+    )
+
+
+def _unit(v) -> bool:
+    return _number(v) and 0 <= v <= 1
+
+
+def _threshold(t) -> bool:
+    if not isinstance(t, dict):
+        return False
+    if t.keys() == {"constant"}:
+        return _unit(t["constant"])
+    return t.keys() == {"low", "high"} and _unit(t["low"]) and _unit(t["high"])
+
+
+def _labeler(d) -> bool:
+    return (
+        isinstance(d, dict)
+        and d.keys() <= {"element_name", "id_attribute", "class_attribute"}
+        and all(type(v) is bool for v in d.values())
+    )
+
+
+_ADAPTATION_KEYS = frozenset(
+    ("algorithm", "threshold", "last_chosen", "labeler", "ancestor_level",
+     "triggers", "update_stored", "algorithm_order", "cascade_opt_out")
+)
+
+
+def _adaptation(a) -> bool:
+    if not (isinstance(a, dict) and a.keys() <= _ADAPTATION_KEYS):
+        return False
+    get = a.get
+    triggers = get("triggers", [])
+    return (
+        _one_of(get("algorithm"), ALGORITHMS)
+        and _threshold(get("threshold"))
+        and (get("last_chosen") is None or _number(a["last_chosen"]))
+        and _labeler(get("labeler", {}))  # an absent labeler is an empty one
+        and (get("ancestor_level") is None or _int(a["ancestor_level"], 0))
+        and _all(triggers, lambda t: _one_of(t, TRIGGERS))
+        and len(set(triggers)) == len(triggers)
+        and type(get("update_stored", True)) is bool
+        and _all(get("algorithm_order", []), lambda n: _one_of(n, ALGORITHMS))
+        and type(get("cascade_opt_out", False)) is bool
+    )
+
+
+def _stored_example(s) -> bool:
+    return (
+        isinstance(s, dict)
+        and s.keys() <= {"html", "residual_path", "captured_from", "captured_at"}
+        and _text(s.get("html"))
+        and _all(s.get("residual_path"), lambda i: _int(i, 0))
+        and isinstance(s.get("captured_from", ""), str)
+        and isinstance(s.get("captured_at", ""), str)
+    )
+
+
+def _template(t) -> bool:
+    """One template node; _nested hands over its children."""
+    return (
+        isinstance(t, dict)
+        and t.keys() <= {"label", "occurrence", "depth_optional", "children"}
+        and _text(t.get("label"))
+        and _one_of(t.get("occurrence"), OCCURRENCES)
+        and type(t.get("depth_optional", False)) is bool
+        and isinstance(t.get("children", []), list)
+    )
+
+
+_RULE_KEYS = frozenset(
+    ("name", "xpath_best", "xpath_fallbacks", "constraints", "adaptation",
+     "stored_example", "template", "children")
+)
+
+
+def _rule(r) -> bool:
+    """One rule node; _nested hands over its children and template."""
+    if not (isinstance(r, dict) and r.keys() <= _RULE_KEYS):
+        return False
+    get = r.get
+    name, best = get("name"), get("xpath_best")
+    return (
+        _text(name)
+        and "/" not in name
+        and isinstance(best, dict)
+        and best.keys() <= {"expr", "tag"}
+        and _text(best.get("expr"))
+        and ("tag" not in best or _text(best["tag"]))
+        and _all(get("xpath_fallbacks", []), _plan_entry)
+        and _all(get("constraints", []), _constraint)
+        and (get("adaptation") is None or _adaptation(r["adaptation"]))
+        and (get("stored_example") is None or _stored_example(r["stored_example"]))
+        and (get("template") is None or isinstance(r["template"], dict))
+        and isinstance(get("children", []), list)
+    )
+
+
+def _nested(d):
+    """Yield (check, value, depth) for every rule and template value in
+    the file dict d, each before what it holds, without recursion.  check
+    is _rule or _template; a top-level rule has depth 1.  Values of any
+    type are yielded, so the depth is the one the schema would recurse to."""
+    rules = d.get("rules") if isinstance(d, dict) else None
+    stack = [(_rule, r, 1) for r in rules] if isinstance(rules, list) else []
+    while stack:
+        check, value, depth = stack.pop()
+        yield check, value, depth
+        if not isinstance(value, dict):
+            continue
+        children = value.get("children")
+        if isinstance(children, list):
+            stack.extend((check, c, depth + 1) for c in children)
+        template = value.get("template") if check is _rule else None
+        if isinstance(template, dict):
+            stack.append((_template, template, depth + 1))
+
+
+def _conforms(d) -> bool:
+    """True only when d certainly matches the schema and nests no deeper
+    than MAX_NESTING."""
+    return (
+        isinstance(d, dict)
+        and d.keys() <= {"name", "version", "constraints", "rules"}
+        and _text(d.get("name"))
+        and _int(d.get("version"), 1)
+        and isinstance(d.get("rules"), list)
+        and _all(d.get("constraints", []), _constraint)
+        and all(depth <= MAX_NESTING and check(v) for check, v, depth in _nested(d))
+    )
+
+
 def wrapper_to_dict(wrapper: Wrapper) -> dict:
     return wrapper.to_dict()
 
 
 def wrapper_from_dict(d: dict) -> Wrapper:
-    """Build a Wrapper from its file dict; schema-validated."""
-    error = best_match(_validator().iter_errors(d))
-    if error is not None:
-        raise WrapperFormatError("schema violation: %s" % (error.message,))
+    """Build a Wrapper from its file dict.  One the format checks do not
+    certify is refused when it nests too deep, and otherwise goes to the
+    schema validator, whose first error is the message."""
+    if not _conforms(d):
+        depth = max((depth for _, _, depth in _nested(d)), default=0)
+        if depth > MAX_NESTING:
+            raise WrapperFormatError(
+                "rules and templates nest %d deep, more than %d" % (depth, MAX_NESTING)
+            )
+        from jsonschema.exceptions import best_match
+
+        error = best_match(_validator().iter_errors(d))
+        if error is not None:
+            raise WrapperFormatError("schema violation: %s" % (error.message,))
     try:
         return Wrapper(
             name=d["name"],
@@ -379,8 +579,12 @@ def wrapper_json(wrapper: Wrapper) -> str:
 
 
 def save_wrapper(wrapper: Wrapper, path) -> None:
+    """Write the wrapper's file text, which must load back: otherwise
+    WrapperFormatError is raised before the file is opened."""
+    text = wrapper_json(wrapper)
+    wrapper_from_dict(json.loads(text))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(wrapper_json(wrapper))
+        fh.write(text)
 
 
 def load_wrapper(path) -> Wrapper:

@@ -140,8 +140,18 @@ class WrapperStore:
         return records, keep, sep
 
     def commit(self, wrapper: Wrapper, summary=(), timestamp=None) -> VersionRecord:
-        """Persist one new version; wrapper.version must be latest + 1."""
+        """Persist one new version; wrapper.version must be latest + 1.
+        Only text that loads back is written: a wrapper whose file would
+        not is refused before anything touches the store."""
         wdir = self._dir(wrapper.name)
+        text = wrapper_json(wrapper)
+        try:
+            wrapper_from_dict(json.loads(text))
+        except WrapperFormatError as e:
+            raise StorageError(
+                "%s v%d does not load back: %s" % (wrapper.name, wrapper.version, e)
+            )
+        content = text.encode("utf-8")
         wdir.mkdir(parents=True, exist_ok=True)
         lock_path = wdir / ".lock"
         with open(lock_path, "w") as lock:
@@ -160,7 +170,6 @@ class WrapperStore:
                     raise ConflictError(
                         "expected version %d, got %d" % (latest + 1, wrapper.version)
                     )
-                content = wrapper_json(wrapper).encode("utf-8")
                 record = VersionRecord(
                     version=wrapper.version,
                     parent_version=parent,

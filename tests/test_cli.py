@@ -29,6 +29,15 @@ WRAPPED_HTML = (
 
 EMPTY_HTML = "<html><body><p>scheduled maintenance</p></body></html>"
 
+# the records moved under an element whose name the locator grammar
+# cannot spell, so the repaired plans do not load back
+PREFIXED_HTML = (
+    '<html><body><div id="main"><o:section>'
+    '<div class="item"><span class="name">Alpha</span><span class="price">10.00</span></div>'
+    '<div class="item"><span class="name">Beta</span><span class="price">20.00</span></div>'
+    "</o:section></div></body></html>"
+)
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -170,6 +179,43 @@ class TestRun:
     def test_missing_page_is_usage_error(self, workdir, capsys):
         rc = main(["run", str(workdir / "wrapper.json"), str(workdir / "nope.html")])
         assert rc == 2
+
+    def test_commit_that_would_not_load_back_fails(self, workdir, capsys):
+        (workdir / "prefixed.html").write_text(PREFIXED_HTML)
+        store = workdir / "store"
+        rc = main(
+            [
+                "--store",
+                str(store),
+                "run",
+                str(workdir / "wrapper.json"),
+                str(workdir / "prefixed.html"),
+                "--commit",
+            ]
+        )
+        assert rc == 2
+        assert "commit failed" in capsys.readouterr().err
+        # the seeded version stays the last good one
+        assert [r.version for r in WrapperStore(store).history("listing")] == [1]
+        assert WrapperStore(store).checkout("listing") == load_wrapper(
+            workdir / "wrapper.json"
+        )
+
+    @pytest.mark.parametrize("change", ["nest_200_deep", "bad_pattern"])
+    def test_unloadable_wrapper_is_usage_error(self, workdir, capsys, change):
+        d = json.loads((workdir / "wrapper.json").read_text())
+        record = d["rules"][0]
+        if change == "bad_pattern":
+            record["children"][0]["constraints"][1]["pattern"] = "["
+        else:
+            rule = record["children"][0]
+            for _ in range(198):  # under record and its child: 200 deep
+                rule["children"] = [dict(rule, children=[])]
+                rule = rule["children"][0]
+        (workdir / "wrapper.json").write_text(json.dumps(d))
+        rc = main(["run", str(workdir / "wrapper.json"), str(workdir / "original.html")])
+        assert rc == 2
+        assert "cannot load wrapper" in capsys.readouterr().err
 
     def test_commit_without_store_is_usage_error(self, workdir, capsys):
         rc = main(

@@ -31,7 +31,7 @@ from wrapmend.model import (
     wrapper_to_dict,
 )
 from wrapmend.template import TreeTemplate
-from wrapmend.xpath import FallbackPlan, PlanEntry, parse_xpath
+from wrapmend.xpath import FallbackPlan, PlanEntry, generate_plan, parse_xpath
 
 PAGE = parse_html(
     '<html><body><div id="rec">'
@@ -344,3 +344,37 @@ class TestSerialization:
         d["rules"][0]["children"] = []
         with pytest.raises(WrapperFormatError):
             wrapper_from_dict(d)
+
+    def test_bad_pattern_is_a_format_error(self):
+        with pytest.raises(ValueError, match="bad pattern"):
+            DatatypeConstraint(datatype="pattern", pattern="[")
+        d = wrapper_to_dict(sample_wrapper())
+        d["rules"][0]["constraints"].append(
+            {"kind": "datatype", "datatype": "pattern", "pattern": "["}
+        )
+        with pytest.raises(WrapperFormatError, match="bad pattern"):
+            wrapper_from_dict(d)
+
+
+PREFIXED_PAGE = parse_html(
+    "<html><body><o:section><div><span>a</span></div>"
+    "<div><span>b</span></div></o:section></body></html>"
+)
+
+
+def unloadable_wrapper():
+    """A wrapper whose plan names an element the locator grammar cannot
+    spell, so its file text does not load back."""
+    located = generate_plan(PREFIXED_PAGE, (0, 0, 0, 0))
+    assert located.best.to_string() == "/html/body/o:section/div[1]/span"
+    return Wrapper(
+        name="prefixed",
+        root_rules=(Rule(name="first", plan=located, constraints=(at_least_one(),)),),
+    )
+
+
+def test_save_refuses_text_that_does_not_load_back(tmp_path):
+    path = tmp_path / "prefixed.json"
+    with pytest.raises(WrapperFormatError, match="expected step separator"):
+        save_wrapper(unloadable_wrapper(), path)
+    assert not path.exists()

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 import wrapmend.repo as repo
 from conftest import random_wrapper
+from test_model import unloadable_wrapper
 from wrapmend.dom import DomNode
 from wrapmend.model import Wrapper
 from wrapmend.repo import (
@@ -17,6 +19,7 @@ from wrapmend.repo import (
     VersionRecord,
     WrapperStore,
 )
+from wrapmend.xpath import FallbackPlan, parse_xpath
 
 
 def bump(wrapper, version):
@@ -196,6 +199,45 @@ class TestRepeatedCheckout:
         for _ in range(3):
             with pytest.raises(CorruptionError, match="schema violation"):
                 store.checkout("shop")
+
+
+class TestWritesOnlyWhatReadsBack:
+    def test_first_commit_refused_leaves_no_wrapper(self, tmp_path):
+        store = WrapperStore(tmp_path)
+        with pytest.raises(StorageError, match="does not load back"):
+            store.commit(unloadable_wrapper())
+        with pytest.raises(NotFoundError):
+            store.history("prefixed")
+        assert not (tmp_path / "prefixed").exists()
+
+    def test_refused_commit_keeps_the_last_good_version(self, tmp_path):
+        store = WrapperStore(tmp_path)
+        bad = unloadable_wrapper()
+        rule = replace(bad.root_rules[0], plan=FallbackPlan(best=parse_xpath("//span")))
+        good = replace(bad, root_rules=(rule,))
+        store.commit(good)
+        with pytest.raises(StorageError):
+            store.commit(bump(bad, 2))
+        assert [r.version for r in store.history("prefixed")] == [1]
+        assert store.checkout("prefixed") == good
+        assert sorted(p.name for p in (tmp_path / "prefixed").iterdir()) == [
+            ".lock", "log.jsonl", "v1.json",
+        ]
+
+    def test_bad_pattern_on_disk_is_corruption(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        store.commit(random_wrapper(rng, name="shop"))
+        wdir = tmp_path / "shop"
+        d = json.loads((wdir / "v1.json").read_bytes())
+        d["constraints"] = [{"kind": "datatype", "datatype": "pattern", "pattern": "["}]
+        # a hand edit that keeps content and log agreeing
+        content = (json.dumps(d, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        (wdir / "v1.json").write_bytes(content)
+        record = json.loads((wdir / "log.jsonl").read_text())
+        record["content_digest"] = hashlib.sha256(content).hexdigest()
+        (wdir / "log.jsonl").write_text(json.dumps(record, sort_keys=True) + "\n")
+        with pytest.raises(CorruptionError, match="bad pattern"):
+            store.checkout("shop")
 
 
 class TestTornLog:
