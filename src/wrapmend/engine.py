@@ -44,8 +44,8 @@ from wrapmend.constraints import (
 )
 from wrapmend.dom import DomTree, PathError, detach_subtree, inside, resolve
 from wrapmend.matching import best_matches
-from wrapmend.model import Rule, StoredExample, Wrapper
-from wrapmend.template import GeneralizeError, generalize, refine, template_match
+from wrapmend.model import MAX_NESTING, Rule, StoredExample, Wrapper
+from wrapmend.template import GeneralizeError, generalize, levels, refine, template_match
 from wrapmend.xpath import PlanExhausted, XPathError, apply_plan, generate_plan
 
 
@@ -286,6 +286,11 @@ def adapt_rule(
             for m in matched_roots:
                 new_template = refine(new_template, m, cfg.labeler)
             template_action = "refined" if new_template is not before else "none"
+        # the file nests a rule's template one level below the rule
+        room = MAX_NESTING - (name.count("/") + 1)
+        span = levels(new_template)
+        if span > room:
+            raise GeneralizeError("it would nest %d deep, more than %d" % (span, room))
     except GeneralizeError as e:
         new_template = rule.template
         template_action = "none"
@@ -504,11 +509,7 @@ class _Executor:
             for p in paths:
                 matches.append((p, resolve(tree, p).text))
                 kids.append(
-                    tuple(
-                        child_results[child.name][flat_index]
-                        for child in rule.children
-                        if child_results.get(child.name)
-                    )
+                    tuple(child_results[child.name][flat_index] for child in rule.children)
                 )
                 flat_index += 1
             results.append(

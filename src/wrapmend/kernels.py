@@ -1,15 +1,16 @@
-"""The tree-matching dynamic programs, and scoring one stored subtree
+"""The tree-matching dynamic program, and scoring one stored subtree
 against every candidate of a page.
 
 Both algorithms are Yang's simple tree matching (1991): the best order-
 and ancestry-preserving mapping between two trees is the best alignment of
 their children's sequences, each aligned pair scored by the same program
-one level down.  `_stm` counts mapped nodes; `_wtm` divides each child
-pair's score by the larger of the two sibling counts, so identical trees
-score exactly 1.0.
+one level down.  One program, `_match`, computes both: simple, it counts
+mapped nodes; weighted, it divides each child pair's score by the larger
+of the two sibling counts, so identical trees score exactly 1.0.
 
-Template alignment (`template._compat`) runs `_wtm_eq` on templates,
-keyed by their label strings, so templates align with the same program.
+Template alignment in `wrapmend.template` runs the weighted program on
+templates, keyed by their label strings, so templates align with the same
+program too.
 
 Scored pairs are not cached: on trees a (stored node, page node) pair is
 reached only from its parents' pair, so each is scored once per call.
@@ -42,7 +43,7 @@ def _key_function(labeler):
     return _label
 
 
-# Both programs fill the alignment table of a's children (rows) against
+# The program fills the alignment table of a's children (rows) against
 # b's children (columns).  A cell is max(left, up, diagonal + pair score),
 # and the pair score is 0 unless the two children's keys are equal, so
 # only key-equal pairs are scored, and a pair with a leaf is scored without
@@ -53,57 +54,25 @@ def _key_function(labeler):
 # value of the cell just overwritten, the diagonal's base.  Every cell
 # holds the same number, to the bit, as the full recurrence: max picks
 # among the same values, and each diagonal is the same sum.
+#
+# Weighted, each pair's score is divided by the larger sibling count
+# (`denom`) and the roots' own match is not counted; simple, `denom` is 1
+# and the roots add 1.  Either way a childless side scores 1.
 
 
-def _stm(a, b, labeler) -> int:
-    key = _key_function(labeler)
-    if key(a) != key(b):
-        return 0
-    return _stm_eq(a, b, key)
-
-
-def _stm_eq(a, b, key) -> int:
-    bc = b.children
-    n = len(bc)
-    keys_b = list(map(key, bc))
-    row = [0] * (n + 1)
-    for ca in a.children:
-        ka = key(ca)
-        if ka not in keys_b:
-            continue
-        deep = ca.children
-        left = upleft = 0
-        for j, kb in enumerate(keys_b, 1):
-            up = row[j]
-            best = left if left > up else up
-            if kb == ka:
-                cb = bc[j - 1]
-                if deep and cb.children:
-                    diag = upleft + _stm_eq(ca, cb, key)
-                else:
-                    diag = upleft + 1
-                if diag > best:
-                    best = diag
-            upleft = up
-            row[j] = left = best
-    return 1 + row[n]
-
-
-def _wtm(a, b, labeler) -> float:
-    # Context-free form: the caller divides by its own sibling-group size,
-    # so this returns the score as if a and b were roots (t = 1).
-    key = _key_function(labeler)
+def _match(a, b, key, weighted: bool) -> float:
+    """The score of a and b compared as roots: 0 unless their keys agree."""
     if key(a) != key(b):
         return 0.0
-    return _wtm_eq(a, b, key)
+    return _match_eq(a, b, key, weighted)
 
 
-def _wtm_eq(a, b, key) -> float:
+def _match_eq(a, b, key, weighted: bool) -> float:
     ac, bc = a.children, b.children
     m, n = len(ac), len(bc)
     if m == 0 or n == 0:
         return 1.0
-    denom = float(max(m, n))
+    denom = float(max(m, n)) if weighted else 1.0
     unit = 1.0 / denom
     keys_b = list(map(key, bc))
     row = [0.0] * (n + 1)
@@ -119,14 +88,14 @@ def _wtm_eq(a, b, key) -> float:
             if kb == ka:
                 cb = bc[j - 1]
                 if deep and cb.children:
-                    diag = upleft + _wtm_eq(ca, cb, key) / denom
+                    diag = upleft + _match_eq(ca, cb, key, weighted) / denom
                 else:
                     diag = upleft + unit
                 if diag > best:
                     best = diag
             upleft = up
             row[j] = left = best
-    return row[n]
+    return row[n] if weighted else 1.0 + row[n]
 
 
 def score_against_page(stored: DomNode, page: DomTree, labeler, algorithm: str) -> list:
@@ -135,10 +104,12 @@ def score_against_page(stored: DomNode, page: DomTree, labeler, algorithm: str) 
     simple scores are normalized match counts, 2*STM / (|a| + |b|).
     Document order."""
     key = labeler.key(stored)
+    # a candidate's full key equals the root's, so its program key does too
+    program_key = _key_function(labeler)
     walk = list(_walk(page.root))
     if algorithm == "weighted":
         return [
-            (path, _wtm(stored, node, labeler))
+            (path, _match_eq(stored, node, program_key, True))
             for path, node in walk
             if labeler.key(node) == key
         ]
@@ -149,7 +120,7 @@ def score_against_page(stored: DomNode, page: DomTree, labeler, algorithm: str) 
         sizes[id(node)] = 1 + sum(sizes[id(c)] for c in node.children)
     size_a = subtree_size(stored)
     return [
-        (path, 2.0 * _stm(stored, node, labeler) / (size_a + sizes[id(node)]))
+        (path, 2.0 * _match_eq(stored, node, program_key, False) / (size_a + sizes[id(node)]))
         for path, node in walk
         if labeler.key(node) == key
     ]

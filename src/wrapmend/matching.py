@@ -1,7 +1,9 @@
 """Tree similarity for wrapper repair.
 
 Two algorithms over element trees, both Yang's simple tree matching with
-labels compared through a `Labeler`:
+labels compared through a `Labeler`, and both computed by one program,
+`kernels._match`, which differs between them only in how a matched pair
+is weighted:
 
 * simple_tree_matching: counts the nodes of the largest order- and
   ancestry-preserving mapping between two trees (label-equal pairs only).
@@ -15,8 +17,9 @@ labels compared through a `Labeler`:
   in proportion to the size of the region they disturb rather than the
   raw node count.
 
-The dynamic programs live in `wrapmend.kernels`; best_matches ranks a
-page's candidates with `kernels.score_against_page`.
+The program lives in `wrapmend.kernels`, where template alignment calls
+it too; best_matches ranks a page's candidates with
+`kernels.score_against_page`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 from wrapmend import kernels
 from wrapmend.dom import DomNode, DomTree, NodePath, subtree_size
-from wrapmend.kernels import _stm, _wtm
+from wrapmend.kernels import _key_function, _match
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ class RankedCandidate:
 
 def simple_tree_matching(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LABELER) -> int:
     """Size of the largest top-down order-preserving mapping, roots included."""
-    return _stm(a, b, labeler)
+    return int(_match(a, b, _key_function(labeler), False))
 
 
 def weighted_tree_matching(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LABELER) -> float:
@@ -93,7 +96,7 @@ def weighted_tree_matching(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LA
     score does not depend on where either subtree sat in its source page;
     sibling counts weight the recursion below the roots.
     """
-    return _wtm(a, b, labeler)
+    return _match(a, b, _key_function(labeler), True)
 
 
 def normalized_stm(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LABELER) -> float:
@@ -102,7 +105,9 @@ def normalized_stm(a: DomNode, b: DomNode, labeler: Labeler = DEFAULT_LABELER) -
     Gives the simple algorithm a score comparable against thresholds and
     min_score, which are defined on the unit interval.
     """
-    return 2.0 * _stm(a, b, labeler) / (subtree_size(a) + subtree_size(b))
+    return 2.0 * _match(a, b, _key_function(labeler), False) / (
+        subtree_size(a) + subtree_size(b)
+    )
 
 
 def best_matches(

@@ -49,8 +49,9 @@ class AdaptationConfig:
 
     threshold is either a constant or a (low, high) interval the search
     may move within; last_chosen records where the previous adaptation
-    settled.  ancestor_level None defers to the capture-time default
-    (2 for leaf targets, 0 otherwise).
+    settled.  ancestor_level is kept in the file, but nothing reads it:
+    a repair re-anchors the stored example at the matched subtree and
+    keeps its residual path.
     """
 
     algorithm: str = "weighted"
@@ -357,154 +358,151 @@ def _validator():
 # level below the rule: deeper files are refused before anything recurses.
 MAX_NESTING = 100
 
-# The format checks: each mirrors one $def of the schema and says yes only
-# when the value certainly matches it.  They are stricter in places (an
-# integer must be an int, so 1.0 is left to the schema), which only sends a
-# file to the validator; they are never looser, and never raise.
+# The format checks: one table per $def of the schema, naming each field
+# once with its check; a check says yes only when the value certainly
+# matches.  They are stricter in places (an integer must be an int, so 1.0
+# is left to the schema), which only sends a file to the validator; they
+# are never looser, and never raise.
 
 
-def _int(v, minimum=None) -> bool:
-    return type(v) is int and (minimum is None or v >= minimum)
+def _object(fields: dict, required=()):
+    """A check for a JSON object: yes only for a dict that holds every
+    required key, and whose every key is a field whose check passes.
+    The check keeps `fields` and `required`, to be held to the schema."""
+    required = frozenset(required)
+
+    def check(d) -> bool:
+        if not isinstance(d, dict) or not d.keys() >= required:
+            return False
+        for k, v in d.items():
+            field_check = fields.get(k)
+            if field_check is None or not field_check(v):
+                return False
+        return True
+
+    check.fields = fields
+    check.required = required
+    return check
 
 
-def _number(v) -> bool:
-    return type(v) is int or type(v) is float
+def _is(*types):
+    # exact types: a bool is not a number here
+    return lambda v: type(v) in types
+
+
+def _int_from(minimum):
+    return lambda v: type(v) is int and v >= minimum
+
+
+def _one_of(choices):
+    return lambda v: isinstance(v, str) and v in choices
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and all(map(check, v))
+
+
+def _or_null(check):
+    return lambda v: v is None or check(v)
+
+
+def _string(v) -> bool:
+    return isinstance(v, str)
 
 
 def _text(v) -> bool:
     return isinstance(v, str) and v != ""
 
 
-def _one_of(v, choices) -> bool:
-    return isinstance(v, str) and v in choices
-
-
-def _all(items, check) -> bool:
-    return isinstance(items, list) and all(check(v) for v in items)
-
-
-def _constraint(c) -> bool:
-    if not isinstance(c, dict):
-        return False
-    kind = c.get("kind")
-    if kind == "cardinality":
-        return (
-            c.keys() <= {"kind", "min", "max"}
-            and _int(c.get("min"), 0)
-            and (c.get("max") is None or _int(c["max"], 0))
-        )
-    return (
-        kind == "datatype"
-        and c.keys() <= {"kind", "datatype", "pattern"}
-        and _one_of(c.get("datatype"), DATATYPES)
-        and (c.get("pattern") is None or isinstance(c["pattern"], str))
-    )
-
-
-def _plan_entry(f) -> bool:
-    return (
-        isinstance(f, dict)
-        and f.keys() == {"expr", "tag", "priority"}
-        and _text(f["expr"])
-        and _text(f["tag"])
-        and _int(f["priority"])
-    )
-
-
 def _unit(v) -> bool:
     return _number(v) and 0 <= v <= 1
 
 
-def _threshold(t) -> bool:
-    if not isinstance(t, dict):
-        return False
-    if t.keys() == {"constant"}:
-        return _unit(t["constant"])
-    return t.keys() == {"low", "high"} and _unit(t["low"]) and _unit(t["high"])
+_boolean, _number, _count = _is(bool), _is(int, float), _int_from(0)
 
-
-def _labeler(d) -> bool:
-    return (
-        isinstance(d, dict)
-        and d.keys() <= {"element_name", "id_attribute", "class_attribute"}
-        and all(type(v) is bool for v in d.values())
-    )
-
-
-_ADAPTATION_KEYS = frozenset(
-    ("algorithm", "threshold", "last_chosen", "labeler", "ancestor_level",
-     "triggers", "update_stored", "algorithm_order", "cascade_opt_out")
+_cardinality = _object(
+    {"kind": lambda v: v == "cardinality", "min": _count, "max": _or_null(_count)},
+    ("kind", "min"),
+)
+_datatype = _object(
+    {
+        "kind": lambda v: v == "datatype",
+        "datatype": _one_of(DATATYPES),
+        "pattern": _or_null(_string),
+    },
+    ("kind", "datatype"),
 )
 
 
-def _adaptation(a) -> bool:
-    if not (isinstance(a, dict) and a.keys() <= _ADAPTATION_KEYS):
-        return False
-    get = a.get
-    triggers = get("triggers", [])
-    return (
-        _one_of(get("algorithm"), ALGORITHMS)
-        and _threshold(get("threshold"))
-        and (get("last_chosen") is None or _number(a["last_chosen"]))
-        and _labeler(get("labeler", {}))  # an absent labeler is an empty one
-        and (get("ancestor_level") is None or _int(a["ancestor_level"], 0))
-        and _all(triggers, lambda t: _one_of(t, TRIGGERS))
-        and len(set(triggers)) == len(triggers)
-        and type(get("update_stored", True)) is bool
-        and _all(get("algorithm_order", []), lambda n: _one_of(n, ALGORITHMS))
-        and type(get("cascade_opt_out", False)) is bool
-    )
+def _constraint(c) -> bool:
+    return _cardinality(c) or _datatype(c)
 
 
-def _stored_example(s) -> bool:
-    return (
-        isinstance(s, dict)
-        and s.keys() <= {"html", "residual_path", "captured_from", "captured_at"}
-        and _text(s.get("html"))
-        and _all(s.get("residual_path"), lambda i: _int(i, 0))
-        and isinstance(s.get("captured_from", ""), str)
-        and isinstance(s.get("captured_at", ""), str)
-    )
-
-
-def _template(t) -> bool:
-    """One template node; _nested hands over its children."""
-    return (
-        isinstance(t, dict)
-        and t.keys() <= {"label", "occurrence", "depth_optional", "children"}
-        and _text(t.get("label"))
-        and _one_of(t.get("occurrence"), OCCURRENCES)
-        and type(t.get("depth_optional", False)) is bool
-        and isinstance(t.get("children", []), list)
-    )
-
-
-_RULE_KEYS = frozenset(
-    ("name", "xpath_best", "xpath_fallbacks", "constraints", "adaptation",
-     "stored_example", "template", "children")
+_plan_entry = _object(
+    {"expr": _text, "tag": _text, "priority": _is(int)}, ("expr", "tag", "priority")
 )
-
-
-def _rule(r) -> bool:
-    """One rule node; _nested hands over its children and template."""
-    if not (isinstance(r, dict) and r.keys() <= _RULE_KEYS):
-        return False
-    get = r.get
-    name, best = get("name"), get("xpath_best")
-    return (
-        _text(name)
-        and "/" not in name
-        and isinstance(best, dict)
-        and best.keys() <= {"expr", "tag"}
-        and _text(best.get("expr"))
-        and ("tag" not in best or _text(best["tag"]))
-        and _all(get("xpath_fallbacks", []), _plan_entry)
-        and _all(get("constraints", []), _constraint)
-        and (get("adaptation") is None or _adaptation(r["adaptation"]))
-        and (get("stored_example") is None or _stored_example(r["stored_example"]))
-        and (get("template") is None or isinstance(r["template"], dict))
-        and isinstance(get("children", []), list)
-    )
+_constant = _object({"constant": _unit}, ("constant",))
+_interval = _object({"low": _unit, "high": _unit}, ("low", "high"))
+_labeler = _object(
+    {"element_name": _boolean, "id_attribute": _boolean, "class_attribute": _boolean}
+)
+_triggers = _list_of(_one_of(TRIGGERS))
+_adaptation = _object(
+    {
+        "algorithm": _one_of(ALGORITHMS),
+        "threshold": lambda v: _constant(v) or _interval(v),
+        "last_chosen": _or_null(_number),
+        "labeler": _labeler,
+        "ancestor_level": _or_null(_count),
+        "triggers": lambda v: _triggers(v) and len(set(v)) == len(v),
+        "update_stored": _boolean,
+        "algorithm_order": _list_of(_one_of(ALGORITHMS)),
+        "cascade_opt_out": _boolean,
+    },
+    ("algorithm", "threshold"),
+)
+_stored_example = _object(
+    {
+        "html": _text,
+        "residual_path": _list_of(_count),
+        "captured_from": _string,
+        "captured_at": _string,
+    },
+    ("html", "residual_path"),
+)
+# one template node and one rule node: _nested hands over their children
+# and a rule's template
+_template = _object(
+    {
+        "label": _text,
+        "occurrence": _one_of(OCCURRENCES),
+        "depth_optional": _boolean,
+        "children": _is(list),
+    },
+    ("label", "occurrence"),
+)
+_rule = _object(
+    {
+        "name": lambda v: _text(v) and "/" not in v,
+        "xpath_best": _object({"expr": _text, "tag": _text}, ("expr",)),
+        "xpath_fallbacks": _list_of(_plan_entry),
+        "constraints": _list_of(_constraint),
+        "adaptation": _or_null(_adaptation),
+        "stored_example": _or_null(_stored_example),
+        "template": _or_null(_is(dict)),
+        "children": _is(list),
+    },
+    ("name", "xpath_best"),
+)
+_file = _object(
+    {
+        "name": _text,
+        "version": _int_from(1),
+        "constraints": _list_of(_constraint),
+        "rules": _is(list),
+    },
+    ("name", "version", "rules"),
+)
 
 
 def _nested(d):
@@ -530,14 +528,8 @@ def _nested(d):
 def _conforms(d) -> bool:
     """True only when d certainly matches the schema and nests no deeper
     than MAX_NESTING."""
-    return (
-        isinstance(d, dict)
-        and d.keys() <= {"name", "version", "constraints", "rules"}
-        and _text(d.get("name"))
-        and _int(d.get("version"), 1)
-        and isinstance(d.get("rules"), list)
-        and _all(d.get("constraints", []), _constraint)
-        and all(depth <= MAX_NESTING and check(v) for check, v, depth in _nested(d))
+    return _file(d) and all(
+        depth <= MAX_NESTING and check(v) for check, v, depth in _nested(d)
     )
 
 

@@ -72,13 +72,6 @@ def _index(children: list, node: DomNode) -> int:
     raise ValueError("node is not a child")
 
 
-def _attached(node: DomNode, parents: dict, root: DomNode) -> bool:
-    up = parents[id(node)]
-    while up is not None:
-        node, up = up, parents[id(up)]
-    return node is root
-
-
 def _applicable(op: str, node: DomNode, parent, depth: int) -> bool:
     if op == "rename_attribute" or op == "drop_attribute":
         return bool(node.attributes)
@@ -102,8 +95,10 @@ def _applicable(op: str, node: DomNode, parent, depth: int) -> bool:
     raise ValueError(op)
 
 
-def _apply(op: str, node: DomNode, parents: dict, rng: random.Random) -> None:
-    """Edit the tree in place, keeping `parents` (id -> parent) current."""
+def _apply(op: str, node: DomNode, parents: dict, detached: set, rng: random.Random) -> None:
+    """Edit the tree in place, keeping `parents` (id -> parent) current and
+    adding the id of every node the edit takes out of the tree to
+    `detached`.  `node` is attached, so each node is added at most once."""
     parent = parents[id(node)]
     if op == "rename_attribute":
         key = rng.choice(sorted(node.attributes))
@@ -124,7 +119,7 @@ def _apply(op: str, node: DomNode, parents: dict, rng: random.Random) -> None:
         for c in node.children:
             parents[id(c)] = parent
         node.children = []
-        parents[id(node)] = None
+        detached.add(id(node))
     elif op == "reorder_siblings":
         rng.shuffle(node.children)
     elif op == "duplicate_record":
@@ -133,7 +128,11 @@ def _apply(op: str, node: DomNode, parents: dict, rng: random.Random) -> None:
         node.attributes["class"] = node.attributes["class"] + "-v2"
     elif op == "delete_region":
         del parent.children[_index(parent.children, node)]
-        parents[id(node)] = None
+        stack = [node]
+        while stack:
+            gone = stack.pop()
+            detached.add(id(gone))
+            stack.extend(gone.children)
     else:
         raise ValueError(op)
 
@@ -164,13 +163,14 @@ def mutate_tree(tree: DomTree, spec: MutationSpec):
             if ops:
                 selected.append((node, rng.choice(ops), depth))
 
+    detached = set()
     for node, op, depth in selected:
         # earlier operations may have detached this node or changed its shape
-        if not _attached(node, parents, root):
+        if id(node) in detached:
             continue
         if not _applicable(op, node, parents[id(node)], depth):
             continue
-        _apply(op, node, parents, rng)
+        _apply(op, node, parents, detached, rng)
 
     final = {origin[id(n)]: p for p, n in _walk(root) if id(n) in origin}
     truth = {path: final.get(path) for path, _ in originals}

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from wrapmend.dom import DomNode, DomTree, _walk
-from wrapmend.kernels import _label, _wtm_eq
+from wrapmend.kernels import _label, _match
 from wrapmend.matching import DEFAULT_LABELER, Labeler
 
 EXACTLY_ONE = "exactly_one"
@@ -87,18 +87,22 @@ class TreeTemplate:
         )
 
 
+def levels(t: TreeTemplate) -> int:
+    """How many levels the template spans, its root's included; counted
+    level by level, without recursion."""
+    count, level = 0, [t]
+    while level:
+        count += 1
+        level = [c for node in level for c in node.children]
+    return count
+
+
 def template_from_tree(node: DomNode, labeler: Labeler = DEFAULT_LABELER) -> TreeTemplate:
     """The trivial template: this exact shape, everything exactly once."""
     return TreeTemplate(
         label=labeler.label_string(node),
         children=tuple(template_from_tree(c, labeler) for c in node.children),
     )
-
-
-def _compat(p: TreeTemplate, q: TreeTemplate) -> float:
-    """Weighted alignment score between two templates, by the kernels'
-    program; > 0 only when labels agree."""
-    return _wtm_eq(p, q, _label) if p.label == q.label else 0.0
 
 
 def _align(p_children, q_children):
@@ -108,7 +112,7 @@ def _align(p_children, q_children):
     W = [[0.0] * n for _ in range(m)]
     for i in range(m):
         for j in range(n):
-            W[i][j] = _compat(p_children[i], q_children[j])
+            W[i][j] = _match(p_children[i], q_children[j], _label, True)
     M = [[0.0] * (n + 1) for _ in range(m + 1)]
     for i in range(1, m + 1):
         for j in range(1, n + 1):
@@ -211,7 +215,7 @@ def _absorb_depth_gaps(events, p_children, q_children):
 def _bridge(pc: TreeTemplate, qc: TreeTemplate):
     """One extra level on either side: wrapper(x) vs x."""
     for outer, other in ((pc, qc), (qc, pc)):
-        if len(outer.children) == 1 and _compat(outer.children[0], other) > 0:
+        if len(outer.children) == 1 and _match(outer.children[0], other, _label, True) > 0:
             return _Entry(
                 template=TreeTemplate(
                     label=outer.label,

@@ -108,7 +108,10 @@ def _step_string(step: Step) -> str:
     return step.name + "".join(_pred_string(p) for p in step.predicates)
 
 
-_NAME_RE = re.compile(r"[A-Za-z][\w-]*|\*")
+# Step names take every name the tokenizer reads (dom._NAME) and more; a
+# label outside them, such as one html.parser kept a \v in, is written *
+# by _spelled.
+_NAME_RE = re.compile(r"[A-Za-z][-.\w:]*|\*")
 _ATTR_EQ_RE = re.compile(r"@([A-Za-z][\w-]*)\s*=\s*(['\"])(.*)\2\s*$", re.S)
 _MATCHES_RE = re.compile(r"matches\(\s*@([A-Za-z][\w-]*)\s*,\s*(['\"])(.*)\2\s*\)\s*$", re.S)
 _TEXT_EQ_RE = re.compile(r"text\(\)\s*=\s*(['\"])(.*)\1\s*$", re.S)
@@ -407,22 +410,22 @@ def generate_plan(
         if not value or not _quotable(value):
             continue
         expr = descendant_expr(
-            Step("descendant", node.label, (AttrEquals(attr, value),))
+            Step("descendant", _spelled(node.label), (AttrEquals(attr, value),))
         )
         if unique(expr):
             consider(expr, "attribute", prio_attr)
             prio_attr += 1
         for pattern in _fragment_patterns(value):
             fexpr = descendant_expr(
-                Step("descendant", node.label, (AttrFragment(attr, pattern),))
+                Step("descendant", _spelled(node.label), (AttrFragment(attr, pattern),))
             )
             if unique(fexpr):
                 consider(fexpr, "fragment", prio_frag)
                 prio_frag += 1
                 break
 
-    # 4. structural: the index-free tag path from the scope root
-    tag_path = _tag_path_steps(tree, target, base)
+    # 4. structural: the target's positional path with the positions dropped
+    tag_path = tuple(Step(s.axis, s.name) for s in _positional_steps(tree, [target], base))
     if tag_path:
         expr = XPathExpr(steps=tag_path, absolute=not relative)
         if unique(expr):
@@ -490,11 +493,18 @@ def _fragment_patterns(value: str):
     return out
 
 
-def _position_of(parent_node, index) -> Optional[int]:
-    """1-based position of child `index` among same-label siblings, or None
-    when the label is unambiguous (no index needed)."""
-    label = parent_node.children[index].label
-    same = [i for i, c in enumerate(parent_node.children) if c.label == label]
+def _spelled(label: str) -> str:
+    """The label as a step name: itself, or * when the grammar cannot spell it."""
+    return label if _NAME_RE.fullmatch(label) else "*"
+
+
+def _position_of(parent_node, index, name) -> Optional[int]:
+    """1-based position of child `index` among the siblings a step named
+    `name` selects (all of them for *), or None when it selects only that
+    child (no index needed)."""
+    same = [
+        i for i, c in enumerate(parent_node.children) if name == "*" or c.label == name
+    ]
     if len(same) == 1:
         return None
     return same.index(index) + 1
@@ -507,10 +517,11 @@ def _steps_between(tree, top: NodePath, target: NodePath):
     node = resolve(tree, top)
     for depth in range(len(top), len(target)):
         idx = target[depth]
-        pos = _position_of(node, idx)
         child = node.children[idx]
+        name = _spelled(child.label)
+        pos = _position_of(node, idx, name)
         preds = (Position(pos),) if pos is not None else ()
-        steps.append(Step("child", child.label, preds))
+        steps.append(Step("child", name, preds))
         node = child
     return tuple(steps)
 
@@ -534,7 +545,7 @@ def _cohort_tail(tree, top: NodePath, wanted):
     labels = {resolve(tree, p).label for p in wanted}
     if len(labels) != 1:
         return None
-    return _steps_between(tree, top, parent) + (Step("child", labels.pop()),)
+    return _steps_between(tree, top, parent) + (Step("child", _spelled(labels.pop())),)
 
 
 def _positional_steps(tree, wanted, base):
@@ -542,20 +553,8 @@ def _positional_steps(tree, wanted, base):
         tail = _cohort_tail(tree, (), wanted)
         if tail is None:
             return None
-        return (Step("child", tree.root.label),) + tail
+        return (Step("child", _spelled(tree.root.label)),) + tail
     return _cohort_tail(tree, base, wanted)
-
-
-def _tag_path_steps(tree, target: NodePath, base):
-    if base is None:
-        steps = [Step("child", tree.root.label)]
-        top = ()
-    else:
-        steps = []
-        top = base
-    for s in _steps_between(tree, top, target):
-        steps.append(Step(s.axis, s.name))
-    return tuple(steps)
 
 
 # --- plan application ---------------------------------------------------------

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from conftest import deep_page
+from test_model import unloadable_plan
+from wrapmend import engine
 from wrapmend.cli import main
 from wrapmend.corpus import author_wrapper, build_corpus
 from wrapmend.dom import parse_html, serialize
@@ -28,15 +30,6 @@ WRAPPED_HTML = (
 )
 
 EMPTY_HTML = "<html><body><p>scheduled maintenance</p></body></html>"
-
-# the records moved under an element whose name the locator grammar
-# cannot spell, so the repaired plans do not load back
-PREFIXED_HTML = (
-    '<html><body><div id="main"><o:section>'
-    '<div class="item"><span class="name">Alpha</span><span class="price">10.00</span></div>'
-    '<div class="item"><span class="name">Beta</span><span class="price">20.00</span></div>'
-    "</o:section></div></body></html>"
-)
 
 
 @pytest.fixture
@@ -180,8 +173,9 @@ class TestRun:
         rc = main(["run", str(workdir / "wrapper.json"), str(workdir / "nope.html")])
         assert rc == 2
 
-    def test_commit_that_would_not_load_back_fails(self, workdir, capsys):
-        (workdir / "prefixed.html").write_text(PREFIXED_HTML)
+    def test_commit_that_would_not_load_back_fails(self, workdir, capsys, monkeypatch):
+        # every repaired plan names an element the grammar cannot spell
+        monkeypatch.setattr(engine, "generate_plan", lambda *a, **kw: unloadable_plan())
         store = workdir / "store"
         rc = main(
             [
@@ -189,7 +183,7 @@ class TestRun:
                 str(store),
                 "run",
                 str(workdir / "wrapper.json"),
-                str(workdir / "prefixed.html"),
+                str(workdir / "mutated.html"),
                 "--commit",
             ]
         )

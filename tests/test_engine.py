@@ -3,6 +3,7 @@
 import pytest
 
 from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint
+from wrapmend.corpus import author_wrapper
 from wrapmend.dom import parse_html, resolve, serialize
 from wrapmend.engine import (
     AdaptationFailed,
@@ -13,6 +14,7 @@ from wrapmend.engine import (
     threshold_search,
 )
 from wrapmend.model import AdaptationConfig, Rule, Wrapper, capture_example, wrapper_to_dict
+from wrapmend.repo import WrapperStore
 from wrapmend.template import template_from_tree
 from wrapmend.xpath import FallbackPlan, PlanEntry, parse_xpath
 
@@ -512,6 +514,37 @@ class TestAdaptRuleDirect:
         )
         assert report.resolved == (ITEM1 + (1,),)
         assert resolve(page, report.resolved[0]).text == "20.00"
+
+    def test_template_past_the_nesting_bound_is_not_stored(self, tmp_path):
+        # records holding a 120-deep chain learn a 121-level template, which
+        # under a top-level rule would nest 122 deep in the wrapper file
+        chain = "<div>" * 120 + "deep" + "</div>" * 120
+
+        def listing(cls):
+            return parse_html(
+                '<html><body><div id="main">%s</div></body></html>'
+                % "".join(
+                    '<div class="%s"><span class="name">N%d</span>'
+                    '<span class="price">%d.00</span>%s</div>' % (cls, i, i, chain)
+                    for i in range(3)
+                )
+            )
+
+        wrapper = author_wrapper(listing("record"))
+        _, reports, repaired = execute_wrapper(
+            wrapper, ExecutionContext(pages=(listing("item"),))
+        )
+        report = reports[0]
+        assert report.rule_name == "record" and report.succeeded
+        assert report.template_action == "none"
+        assert "template not updated: it would nest 121 deep, more than 99" in report.notes
+        assert repaired.find_rule("record").template is None
+        # the repair still commits
+        store = WrapperStore(tmp_path)
+        store.commit(wrapper)
+        store.commit(repaired)
+        assert [r.version for r in store.history("listing")] == [1, 2]
+        assert store.checkout("listing") == repaired
 
 
 class TestAttemptBudget:

@@ -184,6 +184,32 @@ class TestConforms:
         assert tuple(datatype["enum"]) == DATATYPES
         assert tuple(defs["template"]["properties"]["occurrence"]["enum"]) == OCCURRENCES
 
+    def test_tables_name_the_schema_fields(self):
+        # a schema edit the tables miss fails here before any mutant finds it
+        tables = {
+            "constraint": (model._cardinality, model._datatype),
+            "plan_entry": model._plan_entry,
+            "threshold": (model._constant, model._interval),
+            "labeler": model._labeler,
+            "adaptation": model._adaptation,
+            "stored_example": model._stored_example,
+            "template": model._template,
+            "rule": model._rule,
+        }
+        defs = SCHEMA["$defs"]
+        assert tables.keys() == defs.keys()
+        pairs = [(model._file, SCHEMA)]
+        for name, table in tables.items():
+            if isinstance(table, tuple):
+                pairs += zip(table, defs[name]["oneOf"], strict=True)
+            else:
+                pairs.append((table, defs[name]))
+        xpath_best = defs["rule"]["properties"]["xpath_best"]
+        pairs.append((model._rule.fields["xpath_best"], xpath_best))
+        for table, schema in pairs:
+            assert table.fields.keys() == schema["properties"].keys()
+            assert table.required == set(schema.get("required", ()))
+
     def test_library_wrappers_are_accepted(self):
         rng = random.Random(0xC0FFEE)
         wrappers = [random_wrapper(rng) for _ in range(40)]

@@ -99,7 +99,9 @@ class TestSimpleTreeMatching:
             b = random_node(rng, max_depth=2, max_branch=2, labels=("a", "b", "c"))
             if rng.random() < 0.5:
                 b.label = a.label
-            assert simple_tree_matching(a, b) == oracle_stm(a, b)
+            got = simple_tree_matching(a, b)
+            assert type(got) is int
+            assert got == oracle_stm(a, b)
 
     def test_normalized_range_and_value(self):
         a = t("<a><b></b><c></c></a>")

@@ -31,7 +31,15 @@ from wrapmend.model import (
     wrapper_to_dict,
 )
 from wrapmend.template import TreeTemplate
-from wrapmend.xpath import FallbackPlan, PlanEntry, generate_plan, parse_xpath
+from wrapmend.xpath import (
+    FallbackPlan,
+    PlanEntry,
+    Step,
+    XPathExpr,
+    evaluate,
+    generate_plan,
+    parse_xpath,
+)
 
 PAGE = parse_html(
     '<html><body><div id="rec">'
@@ -356,21 +364,56 @@ class TestSerialization:
             wrapper_from_dict(d)
 
 
-PREFIXED_PAGE = parse_html(
-    "<html><body><o:section><div><span>a</span></div>"
-    "<div><span>b</span></div></o:section></body></html>"
-)
+def unloadable_plan():
+    """A plan built step by step around an element name the locator
+    grammar cannot spell, so its file text does not load back."""
+    names = ("html", "body", "o section", "span")
+    return FallbackPlan(best=XPathExpr(steps=tuple(Step("child", n) for n in names)))
 
 
 def unloadable_wrapper():
-    """A wrapper whose plan names an element the locator grammar cannot
-    spell, so its file text does not load back."""
-    located = generate_plan(PREFIXED_PAGE, (0, 0, 0, 0))
-    assert located.best.to_string() == "/html/body/o:section/div[1]/span"
+    """A wrapper whose file text does not load back."""
+    plan = unloadable_plan()
+    assert plan.best.to_string() == "/html/body/o section/span"
     return Wrapper(
         name="prefixed",
-        root_rules=(Rule(name="first", plan=located, constraints=(at_least_one(),)),),
+        root_rules=(Rule(name="first", plan=plan, constraints=(at_least_one(),)),),
     )
+
+
+@pytest.mark.parametrize(
+    "html, target, best",
+    [
+        # a prefixed name the tokenizer reads
+        (
+            "<html><body><o:section><div><span>a</span></div>"
+            "<div><span>b</span></div></o:section></body></html>",
+            (0, 0, 0, 0),
+            "/html/body/o:section/div[1]/span",
+        ),
+        # html.parser keeps the vertical tab and what follows in the name
+        (
+            '<html><body><ul\vclass="nav"><li>a</li><li>b</li></ul\vclass="nav">'
+            "<ul><li>c</li></ul></body></html>",
+            (0, 0, 1),
+            "/html/body/*[1]/li[2]",
+        ),
+    ],
+    ids=["prefixed", "vertical_tab"],
+)
+def test_generated_plans_load_back(html, target, best):
+    page = parse_html(html)
+    plan = generate_plan(page, target)
+    assert plan.best.to_string() == best
+    wrapper = Wrapper(
+        name="names",
+        root_rules=(Rule(name="first", plan=plan, constraints=(at_least_one(),)),),
+    )
+    loaded = wrapper_from_dict(json.loads(wrapper_json(wrapper)))
+    assert loaded == wrapper
+    located = loaded.root_rules[0].plan
+    for expr in [located.best] + [e.expr for e in located.fallbacks]:
+        assert evaluate(expr, page) == [target]
 
 
 def test_save_refuses_text_that_does_not_load_back(tmp_path):

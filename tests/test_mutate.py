@@ -3,10 +3,12 @@
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
+import wrapmend.mutate as mutate_module
 from conftest import deep_page, random_tree
 from wrapmend.corpus import DEFAULT_RATE, SCENARIOS, generate_page
 from wrapmend.dom import parse_html, resolve, serialize
@@ -187,6 +189,31 @@ class TestDeepPage:
         for orig, new in truth.items():
             if new is not None:
                 assert resolve(mutated, new).label == resolve(tree, orig).label
+
+    def test_work_grows_linearly_with_depth(self):
+        # line events inside this module, a count that does not depend on
+        # the host's speed: twice the depth must cost about twice the lines
+        def lines(depth):
+            tree = parse_html(deep_page(depth))
+            count = 0
+
+            def local(frame, event, arg):
+                nonlocal count
+                if event == "line":
+                    count += 1
+                return local
+
+            def start(frame, event, arg):
+                return local if frame.f_code.co_filename == mutate_module.__file__ else None
+
+            sys.settrace(start)
+            try:
+                mutate_tree(tree, MutationSpec(seed=1, rate=1.0))
+            finally:
+                sys.settrace(None)
+            return count
+
+        assert lines(1200) / lines(600) < 2.5
 
 
 class TestTruthValidity:

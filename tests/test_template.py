@@ -13,6 +13,7 @@ from wrapmend.template import (
     GeneralizeError,
     TreeTemplate,
     generalize,
+    levels,
     refine,
     template_from_tree,
     template_match,
@@ -50,6 +51,14 @@ class TestFromTree:
         node = parse_snippet("<div><span></span></div>")
         other = parse_snippet("<div><span></span><span></span></div>")
         assert not accepts(template_from_tree(node), other)
+
+    def test_levels_count_the_deepest_branch(self):
+        node = parse_snippet("<div><span></span><b><i></i></b></div>")
+        assert levels(template_from_tree(node)) == 3
+        chain = TreeTemplate(L("div"))
+        for _ in range(2999):  # deeper than the recursion limit
+            chain = TreeTemplate(L("div"), children=(chain,))
+        assert levels(chain) == 3000
 
     def test_labeler_attribute_components(self):
         node = parse_snippet('<div class="record"></div>')
