@@ -24,15 +24,13 @@ class CardinalityConstraint:
     min_count: int = 1
     max_count: Optional[int] = 1
 
+    kind = "cardinality"  # a class attribute, not a field
+
     def __post_init__(self):
         if self.min_count < 0:
             raise ValueError("min_count must be >= 0")
         if self.max_count is not None and self.max_count < self.min_count:
             raise ValueError("max_count must be >= min_count")
-
-    @property
-    def kind(self) -> str:
-        return "cardinality"
 
     def admits(self, count: int) -> bool:
         if count < self.min_count:
@@ -59,27 +57,27 @@ class DatatypeConstraint:
     datatype: str = "pattern"
     pattern: Optional[str] = None
 
+    kind = "datatype"
+
     def __post_init__(self):
         if self.datatype not in DATATYPES:
             raise ValueError("unknown datatype %r" % (self.datatype,))
-        if self.datatype == "pattern":
+        if self.datatype == "integer":
+            regex = _INTEGER_RE
+        elif self.datatype == "decimal":
+            regex = _DECIMAL_RE
+        else:
             if not self.pattern:
                 raise ValueError("pattern datatype requires a pattern")
             try:
-                re.compile(self.pattern)
+                regex = re.compile(self.pattern)
             except re.error as exc:
                 raise ValueError("bad pattern %r: %s" % (self.pattern, exc))
-
-    @property
-    def kind(self) -> str:
-        return "datatype"
+        # compiled once; not a field, so equality, hashing and to_dict ignore it
+        object.__setattr__(self, "_regex", regex)
 
     def admits(self, text: str) -> bool:
-        if self.datatype == "integer":
-            return _INTEGER_RE.fullmatch(text) is not None
-        if self.datatype == "decimal":
-            return _DECIMAL_RE.fullmatch(text) is not None
-        return re.fullmatch(self.pattern, text) is not None
+        return self._regex.fullmatch(text) is not None
 
     def to_dict(self) -> dict:
         return {"kind": "datatype", "datatype": self.datatype, "pattern": self.pattern}

@@ -83,9 +83,16 @@ class ExtractionResult:
     children: tuple = ()  # per match: tuple of child ExtractionResults
     status: str = "ok"  # ok | adapted | failed
     page: int = 0  # index in ExecutionContext.pages that the paths resolve on
+    locator: Optional[str] = None  # tag of the answering plan entry; None if failed or repaired
 
     def to_dict(self) -> dict:
-        out = {"rule": self.rule_name, "status": self.status, "page": self.page, "matches": []}
+        out = {
+            "rule": self.rule_name,
+            "status": self.status,
+            "page": self.page,
+            "locator": self.locator,
+            "matches": [],
+        }
         for (path, text), kids in zip(self.matches, self.children, strict=True):
             out["matches"].append(
                 {
@@ -412,7 +419,7 @@ class _Executor:
             current = self.changed.get(rule_path, rule)
             try:
                 _, report = self._adapt(current, rule_path, contexts, trigger, page)
-                return "adapted", self._partition(report.resolved, contexts), page
+                return "adapted", self._partition(report.resolved, contexts, page), page
             except AdaptationFailed:
                 cfg = current.adaptation
                 if "process_flow" in cfg.triggers and page + 1 < len(self.ctx.pages):
@@ -425,23 +432,28 @@ class _Executor:
                 return None
 
     def _apply_contexts(self, rule, contexts, page):
-        """Plan results per context on one bundle page; a violated context
-        yields None (an empty list is a legitimate result under min_count 0)."""
+        """Plan results per context on one bundle page: (matches, locator
+        tag), matches being (path, node) pairs.  A violated context yields
+        None (an empty list is a legitimate result under min_count 0)."""
         constraints = self.wrapper.effective_constraints(rule)
         tree = self.ctx.pages[page]
         per_ctx = []
         ok = True
         for c in contexts:
             try:
-                paths, _ = apply_plan(rule.plan, tree, constraints, context_path=c)
-                per_ctx.append(paths)
+                per_ctx.append(apply_plan(rule.plan, tree, constraints, context_path=c))
             except (PlanExhausted, PathError):
                 per_ctx.append(None)
                 ok = False
         return ok, per_ctx
 
-    def _partition(self, targets, contexts):
-        return [sorted(t for t in targets if inside(t, c)) for c in contexts]
+    def _partition(self, targets, contexts, page):
+        """A repair's targets per context, as matches no locator answered."""
+        tree = self.ctx.pages[page]
+        return [
+            ([(t, resolve(tree, t)) for t in sorted(targets) if inside(t, c)], None)
+            for c in contexts
+        ]
 
     # -- evaluation
 
@@ -464,10 +476,8 @@ class _Executor:
                 rule = self.changed.get(rule_path, rule)
             else:
                 # salvage the contexts the plan still satisfies
-                statuses = [
-                    "ok" if paths is not None else "failed" for paths in per_ctx
-                ]
-                per_ctx = [paths if paths is not None else [] for paths in per_ctx]
+                statuses = ["ok" if found is not None else "failed" for found in per_ctx]
+                per_ctx = [found if found is not None else ((), None) for found in per_ctx]
         if all(s == "failed" for s in statuses):
             return [
                 ExtractionResult(rule_name=rule.name, status="failed", page=page)
@@ -476,7 +486,7 @@ class _Executor:
 
         for attempt in (0, 1):
             adapted = any(s == "adapted" for s in statuses)
-            flat = [p for paths in per_ctx for p in paths]
+            flat = [p for matches, _ in per_ctx for p, _ in matches]
             child_results = {}
             for child in rule.children:
                 child_path = rule_path + "/" + child.name
@@ -496,31 +506,29 @@ class _Executor:
                 )
             except AdaptationFailed:
                 break
-            per_ctx = self._partition(report.resolved, contexts)
+            per_ctx = self._partition(report.resolved, contexts, page)
             statuses = ["adapted"] * len(contexts)
             rule = self.changed.get(rule_path, rule)
 
-        tree = self.ctx.pages[page]
+        # per match, its results under each child rule
+        kids = [()] * len(flat)
+        if rule.children:
+            kids = list(zip(*(child_results[child.name] for child in rule.children)))
         results = []
-        flat_index = 0
-        for paths, status in zip(per_ctx, statuses):
-            matches = []
-            kids = []
-            for p in paths:
-                matches.append((p, resolve(tree, p).text))
-                kids.append(
-                    tuple(child_results[child.name][flat_index] for child in rule.children)
-                )
-                flat_index += 1
+        start = 0
+        for (found, tag), status in zip(per_ctx, statuses):
+            end = start + len(found)
             results.append(
                 ExtractionResult(
                     rule_name=rule.name,
-                    matches=tuple(matches),
-                    children=tuple(kids),
+                    matches=tuple([(p, node.text) for p, node in found]),
+                    children=tuple(kids[start:end]),
                     status=status,
                     page=page,
+                    locator=tag,
                 )
             )
+            start = end
         return results
 
     def _attr_for(self, rule, adapted, child):

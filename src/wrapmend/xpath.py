@@ -8,12 +8,20 @@ Expressions are absolute or relative (leading ./ or .//, or a bare name).
 
 Position predicates follow XPath proper: with the descendant axis they
 apply per parent group, not over the flattened result.
+
+Evaluation carries each node beside its path.  Only a relative
+expression's context is resolved from the root; every match is reached
+from its parent, and apply_plan hands back (path, node) pairs, so no
+caller resolves a match again.  A plan expands its attempts, index
+relaxations included, once, on first use.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from wrapmend.dom import DomTree, NodePath, _walk, inside, resolve
@@ -42,16 +50,33 @@ class AttrEquals:
     name: str
     value: str
 
+    def holds(self, node) -> bool:
+        return node.attributes.get(self.name) == self.value
+
 
 @dataclass(frozen=True)
 class AttrFragment:
     name: str
     pattern: str
 
+    def __post_init__(self):
+        # compiled once; not a field, so equality and hashing ignore it
+        try:
+            object.__setattr__(self, "_regex", re.compile(self.pattern))
+        except re.error as exc:
+            raise XPathError("bad pattern %r: %s" % (self.pattern, exc))
+
+    def holds(self, node) -> bool:
+        value = node.attributes.get(self.name)
+        return value is not None and self._regex.search(value) is not None
+
 
 @dataclass(frozen=True)
 class TextEquals:
     value: str
+
+    def holds(self, node) -> bool:
+        return node.text == self.value
 
 
 @dataclass(frozen=True)
@@ -188,12 +213,7 @@ def _parse_predicate(inner: str, original: str):
         return AttrEquals(name=m.group(1).lower(), value=m.group(3))
     m = _MATCHES_RE.fullmatch(inner)
     if m:
-        pattern = m.group(3)
-        try:
-            re.compile(pattern)
-        except re.error as exc:
-            raise XPathError("bad pattern %r: %s" % (pattern, exc))
-        return AttrFragment(name=m.group(1).lower(), pattern=pattern)
+        return AttrFragment(name=m.group(1).lower(), pattern=m.group(3))
     m = _TEXT_EQ_RE.fullmatch(inner)
     if m:
         return TextEquals(value=m.group(2))
@@ -202,71 +222,94 @@ def _parse_predicate(inner: str, original: str):
 
 # --- evaluation --------------------------------------------------------------
 
-_DOCUMENT = None  # pseudo context above the root, so /html selects the root
-
 
 def evaluate(expr: XPathExpr, tree: DomTree, context_path: Optional[NodePath] = None) -> list:
     """Paths of all matching nodes, document order, no duplicates."""
+    return [p for p, _ in _select(expr, tree, context_path)]
+
+
+def _select(expr: XPathExpr, tree: DomTree, context_path) -> list:
+    """(path, node) of every match, document order, no duplicates.  Only
+    the context is resolved from the root; every other node is reached
+    from its parent."""
+    steps = expr.steps
     if expr.absolute:
-        current = [_DOCUMENT]
+        # the document sits above the root: the first step's only group
+        # is the root itself, at ()
+        first, root = steps[0], tree.root
+        named = [0] if first.name in ("*", root.label) else []
+        current = [((), root)] if _filtered(first.predicates, [root], named) else []
+        if first.axis == "descendant":
+            current += _step(first, [((), root)])  # the root sorts first
+        steps = steps[1:]
     else:
-        current = [tuple(context_path or ())]
-    for step in expr.steps:
-        seen = set()
-        collected = []
-        for ctx in current:
-            for group in _candidate_groups(tree, ctx, step.axis):
-                chosen = [
-                    (p, node)
-                    for p, node in group
-                    if step.name == "*" or node.label == step.name
-                ]
-                for pred in step.predicates:
-                    chosen = _filter_predicate(chosen, pred)
-                for p, _ in chosen:
-                    if p not in seen:
-                        seen.add(p)
-                        collected.append(p)
-        current = sorted(collected)
-    return [p for p in current if p is not _DOCUMENT]
+        path = tuple(context_path or ())
+        current = [(path, resolve(tree, path))]
+    for step in steps:
+        if not current:
+            break
+        current = _step(step, current)
+    return current
 
 
-def _children_group(path, node):
-    return [(path + (i,), c) for i, c in enumerate(node.children)]
+def _step(step: Step, contexts: list) -> list:
+    """The step's matches from contexts in document order.  Each parent's
+    children are one group, which the name test and then the predicates
+    narrow; the descendant axis visits every group below a context."""
+    name, preds = step.name, step.predicates
+    any_name = name == "*"
+    descend = step.axis == "descendant"
+    out = []
+    groups = 0  # groups that kept something
+    top = None
+    for path, node in contexts:
+        if descend:
+            # a context inside the previous one adds nothing: its groups
+            # are that one's groups
+            if top is not None and path[: len(top)] == top:
+                continue
+            top = path
+        stack = [(path, node)]
+        while stack:
+            path, node = stack.pop()
+            children = node.children
+            kept = []
+            i = 0  # counted by hand: enumerate's pair per child costs more here
+            for c in children:
+                if any_name or c.label == name:
+                    kept.append(i)
+                if descend and c.children:
+                    stack.append((path + (i,), c))
+                i += 1
+            if kept and preds:
+                kept = _filtered(preds, children, kept)
+            if kept:
+                groups += 1
+                for i in kept:
+                    out.append((path + (i,), children[i]))
+    if groups > 1:
+        out.sort(key=itemgetter(0))  # groups come out of the stack, not in order
+    return out
 
 
-def _candidate_groups(tree: DomTree, ctx, axis: str):
-    """Candidate nodes for one step, grouped per parent: position
-    predicates count within a group, exactly like child:: nodelists.
-    Groups come in document order of their parents."""
-    if ctx is _DOCUMENT:
-        root_group = [((), tree.root)]
-        if axis == "child":
-            return [root_group]
-        return [root_group] + [
-            _children_group(p, n) for p, n in _walk(tree.root) if n.children
-        ]
-    node = resolve(tree, ctx)
-    if axis == "child":
-        return [_children_group(ctx, node)]
-    return [_children_group(p, n) for p, n in _walk(node, ctx) if n.children]
-
-
-def _filter_predicate(group, pred):
-    if isinstance(pred, Position):
-        return [group[pred.index - 1]] if pred.index <= len(group) else []
-    if isinstance(pred, AttrEquals):
-        return [(p, n) for p, n in group if n.attributes.get(pred.name) == pred.value]
-    if isinstance(pred, AttrFragment):
-        rx = re.compile(pred.pattern)
-        return [
-            (p, n)
-            for p, n in group
-            if pred.name in n.attributes and rx.search(n.attributes[pred.name])
-        ]
-    if isinstance(pred, TextEquals):
-        return [(p, n) for p, n in group if n.text == pred.value]
-    raise XPathError("unknown predicate %r" % (pred,))
+def _filtered(preds: tuple, group: list, kept: list) -> list:
+    """Apply predicates in turn to the indices `kept` of one group, so a
+    position counts what the predicates before it left, exactly like
+    child:: nodelists."""
+    for pred in preds:
+        if not kept:
+            break
+        if isinstance(pred, Position):
+            kept = kept[pred.index - 1 : pred.index]
+            continue
+        # a loop, not a comprehension: on groups of a few nodes the
+        # comprehension's own call costs more than the tests
+        holds, narrowed = pred.holds, []
+        for i in kept:
+            if holds(group[i]):
+                narrowed.append(i)
+        kept = narrowed
+    return kept
 
 
 # --- anchors ------------------------------------------------------------------
@@ -316,6 +359,19 @@ class FallbackPlan:
     best: XPathExpr
     best_tag: str = "positional"
     fallbacks: tuple = ()
+
+    @cached_property
+    def attempts(self) -> tuple:
+        """(tag, expr) in the order apply_plan tries them: the best, then
+        each fallback, an index relaxation as its variants.  Expanded on
+        first use and kept outside the fields, so equality ignores it."""
+        attempts = [(self.best_tag, self.best)]
+        for entry in self.fallbacks:
+            if entry.tag == "index_relaxation":
+                attempts += [(entry.tag, v) for v in relaxation_variants(entry.expr)]
+            else:
+                attempts.append((entry.tag, entry.expr))
+        return tuple(attempts)
 
     def to_dict(self) -> dict:
         return {
@@ -592,27 +648,20 @@ def apply_plan(
     """Try the best locator, then each fallback in priority order, until one
     yields results satisfying the constraints.
 
-    Returns (paths, used_tag).  `constraints` may be one constraint or a
-    list; with no constraints at all, any non-empty result is accepted.
-    Raises PlanExhausted when every locator fails.
+    Returns (matches, used_tag), where matches are (path, node) pairs in
+    document order.  `constraints` may be one constraint or a list; with
+    no constraints at all, any non-empty result is accepted.  Raises
+    PlanExhausted when every locator fails.
     """
     if constraints and not isinstance(constraints, (list, tuple)):
         constraints = [constraints]
-    attempts = [(plan.best_tag, plan.best)]
-    for entry in plan.fallbacks:
-        if entry.tag == "index_relaxation":
-            for variant in relaxation_variants(entry.expr):
-                attempts.append((entry.tag, variant))
-        else:
-            attempts.append((entry.tag, entry.expr))
-    for tag, expr in attempts:
-        paths = evaluate(expr, tree, context_path)
-        results = [(p, resolve(tree, p).text) for p in paths]
+    for tag, expr in plan.attempts:
+        matches = _select(expr, tree, context_path)
         if constraints:
-            if not validate_results(results, constraints):
-                return paths, tag
-        elif paths:
-            return paths, tag
+            if not validate_results([(p, n.text) for p, n in matches], constraints):
+                return matches, tag
+        elif matches:
+            return matches, tag
     # every locator failed; they are stringified only for the error
-    tried = [(tag, expr.to_string()) for tag, expr in attempts]
+    tried = [(tag, expr.to_string()) for tag, expr in plan.attempts]
     raise PlanExhausted("no locator satisfied the constraints", tried=tried)

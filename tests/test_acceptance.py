@@ -206,8 +206,9 @@ def test_criterion_7_locator_round_trip(corpus):
             for i, c in enumerate(node.children):
                 stack.append((path + (i,), c))
             plan = generate_plan(page, path)
-            paths, used_tag = apply_plan(plan, page, exactly_one)
-            assert paths == [path], (page_path, path)
+            matches, used_tag = apply_plan(plan, page, exactly_one)
+            assert [p for p, _ in matches] == [path], (page_path, path)
+            assert matches[0][1] is node, (page_path, path)
             assert used_tag == plan.best_tag
 
             positional = [e for e in plan.fallbacks if e.tag == "positional"]

@@ -64,6 +64,10 @@ class TestRun:
             for c in m["children"]
         ]
         assert texts == ["Alpha", "10.00", "Beta", "20.00"]
+        locators = [r["locator"] for r in doc["results"]] + [
+            c["locator"] for r in doc["results"] for m in r["matches"] for c in m["children"]
+        ]
+        assert set(locators) == {"attribute"}
 
     def test_adapted_run_with_commit(self, workdir, capsys):
         store = workdir / "store"

@@ -1,9 +1,11 @@
 """Execution, threshold search, adaptation and the trigger cascade."""
 
+import random
+
 import pytest
 
 from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint
-from wrapmend.corpus import author_wrapper
+from wrapmend.corpus import author_wrapper, generate_page
 from wrapmend.dom import parse_html, resolve, serialize
 from wrapmend.engine import (
     AdaptationFailed,
@@ -191,6 +193,7 @@ class TestExecuteHappyPath:
         results, _, _ = execute_wrapper(w, ExecutionContext(pages=(original_page(),)))
         d = results[0].to_dict()
         assert d["rule"] == "record"
+        assert d["locator"] == "attribute"
         assert d["matches"][0]["children"][0]["rule"] == "name"
         assert d["matches"][1]["children"][1]["matches"][0]["text"] == "20.00"
 
@@ -199,6 +202,42 @@ class TestExecuteHappyPath:
         before = wrapper_to_dict(w)
         execute_wrapper(w, ctx_for(WRAPPED_HTML))
         assert wrapper_to_dict(w) == before
+
+
+class TestLocator:
+    """Each result names the plan entry that answered its context."""
+
+    @staticmethod
+    def contexts(results):
+        for r in results:
+            yield r
+            for kids in r.children:
+                yield from TestLocator.contexts(kids)
+
+    def test_intact_corpus_page_answers_by_attribute(self):
+        page = parse_html(generate_page(random.Random(3)))
+        results, reports, _ = execute_wrapper(
+            author_wrapper(page), ExecutionContext(pages=(page,))
+        )
+        assert reports == []
+        found = list(self.contexts(results))
+        assert len(found) > 10
+        assert {(r.status, r.locator) for r in found} == {("ok", "attribute")}
+
+    def test_fallback_names_itself(self):
+        w = build_wrapper(structural_fallback=True)
+        renamed = ORIGINAL_HTML.replace('class="record"', 'class="item"')
+        (rec,), reports, new_w = execute_wrapper(w, ctx_for(renamed))
+        assert reports == [] and new_w is None
+        assert (rec.status, rec.locator) == ("ok", "structural")
+        assert [p for p, _ in rec.matches] == [REC0, REC1]
+        kids = [k for ks in rec.children for k in ks]
+        assert {k.locator for k in kids} == {"attribute"}
+
+    def test_repaired_context_names_none(self):
+        (rec,), _, _ = execute_wrapper(build_wrapper(), ctx_for(WRAPPED_HTML))
+        assert (rec.status, rec.locator) == ("adapted", None)
+        assert rec.to_dict()["locator"] is None
 
 
 class TestDirectAdaptation:
@@ -375,6 +414,7 @@ class TestPartialSalvage:
         assert rec.status == "ok"
         names = [kids[0] for kids in rec.children]
         assert [n.status for n in names] == ["failed", "ok"]
+        assert [n.locator for n in names] == [None, "attribute"]
         assert names[1].matches[0][1] == "Beta"
         prices = [kids[1] for kids in rec.children]
         assert [p.status for p in prices] == ["ok", "ok"]

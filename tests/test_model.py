@@ -16,6 +16,7 @@ from wrapmend.constraints import (
     exactly_one,
 )
 from wrapmend.dom import PathError, parse_html, serialize
+from wrapmend.engine import ExecutionContext, execute_wrapper
 from wrapmend.matching import Labeler
 from wrapmend.model import (
     AdaptationConfig,
@@ -288,6 +289,20 @@ class TestSerialization:
     def test_dict_round_trip(self):
         w = sample_wrapper()
         assert wrapper_from_dict(wrapper_to_dict(w)) == w
+
+    def test_compiled_parts_stay_out_of_equality_and_dicts(self):
+        # patterns compile once and plans expand their attempts once, beside
+        # the fields: a wrapper that has run equals, hashes and writes as
+        # a fresh one
+        ran, fresh = sample_wrapper(), sample_wrapper()
+        execute_wrapper(ran, ExecutionContext(pages=(PAGE,)))
+        assert ran == fresh
+        assert hash(ran.root_rules[0].plan) == hash(fresh.root_rules[0].plan)
+        assert wrapper_to_dict(ran) == wrapper_to_dict(fresh)
+        typed = DatatypeConstraint(datatype="pattern", pattern="[a-z]+")
+        assert hash(typed) == hash(DatatypeConstraint(datatype="pattern", pattern="[a-z]+"))
+        assert typed.to_dict() == {"kind": "datatype", "datatype": "pattern", "pattern": "[a-z]+"}
+        assert typed.admits("abc") and not typed.admits("abc1")
 
     def test_json_text_is_stable(self):
         w = sample_wrapper()

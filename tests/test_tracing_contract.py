@@ -1,0 +1,59 @@
+"""The benchmark's tracer (perfbench/tracing.py) times a layer by rebinding
+the module global through which the layer above calls it.  A refactor
+that renames or bypasses such a call site would leave its span silently
+at zero; these tests fail instead."""
+
+import importlib
+import importlib.util
+import pathlib
+import random
+
+import wrapmend.engine
+import wrapmend.xpath
+from wrapmend.corpus import author_wrapper, generate_page
+from wrapmend.dom import parse_html
+from wrapmend.engine import ExecutionContext, execute_wrapper
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def call_sites():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.CALL_SITES
+
+
+def test_every_call_site_exists():
+    sites = call_sites()
+    assert sites
+    for span, module, attr in sites:
+        assert callable(getattr(importlib.import_module(module), attr, None)), span
+
+
+def test_accept_path_calls_through_the_traced_names(monkeypatch):
+    html = generate_page(random.Random(5))
+    n = html.count('class="record"')
+    page = parse_html(html)
+    answered = []  # (tag used, plan's best tag) per apply_plan call
+    validated = []
+    apply_plan = wrapmend.engine.apply_plan
+    validate_results = wrapmend.xpath.validate_results
+
+    def counting_apply_plan(plan, *args, **kwargs):
+        result = apply_plan(plan, *args, **kwargs)
+        answered.append((result[1], plan.best_tag))
+        return result
+
+    def counting_validate_results(*args, **kwargs):
+        validated.append(1)
+        return validate_results(*args, **kwargs)
+
+    monkeypatch.setattr(wrapmend.engine, "apply_plan", counting_apply_plan)
+    monkeypatch.setattr(wrapmend.xpath, "validate_results", counting_validate_results)
+    _, reports, _ = execute_wrapper(author_wrapper(page), ExecutionContext(pages=(page,)))
+    assert reports == []
+    # the record rule once, then its name and price rules once per record
+    assert len(answered) == 1 + 2 * n
+    assert all(used == best for used, best in answered)
+    assert len(validated) == 1 + 2 * n

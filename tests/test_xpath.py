@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import functools
 import random
+import re
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wrapmend.dom import DomTree, enumerate_subtrees, parse_html, resolve
 from wrapmend.constraints import DatatypeConstraint, at_least_one, exactly_one
@@ -12,6 +15,7 @@ from wrapmend.xpath import (
     AttrEquals,
     AttrFragment,
     FallbackPlan,
+    PlanEntry,
     PlanExhausted,
     Position,
     Step,
@@ -26,7 +30,7 @@ from wrapmend.xpath import (
     relaxation_variants,
 )
 
-from conftest import random_node, scenario_pages
+from conftest import SAFE_LABELS, WORDS, random_node, scenario_pages
 
 PAGE_SOURCE = """
 <html>
@@ -114,6 +118,8 @@ class TestParse:
     def test_bad_fragment_regex_rejected(self):
         with pytest.raises(XPathError):
             parse_xpath("//div[matches(@class,'[')]")
+        with pytest.raises(XPathError, match="bad pattern"):
+            AttrFragment("class", "[")
 
     def test_round_trip(self):
         samples = [
@@ -195,6 +201,137 @@ class TestEvaluate:
     def test_missing_matches_empty(self):
         assert evaluate(parse_xpath("//article"), PAGE) == []
         assert evaluate(parse_xpath("/html/body/div[9]"), PAGE) == []
+
+
+
+def reference_evaluate(expr, tree, context_path=None):
+    """The per-parent-group semantics spelled out over paths: every parent
+    below a context (the context included) offers its children as one
+    group; the name test and then each predicate in turn narrow a group,
+    so a position counts what the predicates before it left.  The
+    document is the parent of the root."""
+    nodes = dict(enumerate_subtrees(tree))
+
+    def group(parent):
+        if parent is None:
+            return [()]
+        return [parent + (i,) for i in range(len(nodes[parent].children))]
+
+    def parents(ctx, axis):
+        if axis == "child":
+            return [ctx]
+        below = [p for p in nodes if ctx is None or p[: len(ctx)] == ctx]
+        return ([None] if ctx is None else []) + below
+
+    def holds(pred, node):
+        if isinstance(pred, AttrEquals):
+            return node.attributes.get(pred.name) == pred.value
+        if isinstance(pred, AttrFragment):
+            value = node.attributes.get(pred.name)
+            return value is not None and re.search(pred.pattern, value) is not None
+        return node.text == pred.value
+
+    current = [None] if expr.absolute else [tuple(context_path or ())]
+    for step in expr.steps:
+        found = set()
+        for ctx in current:
+            for parent in parents(ctx, step.axis):
+                chosen = [p for p in group(parent) if step.name in ("*", nodes[p].label)]
+                for pred in step.predicates:
+                    if isinstance(pred, Position):
+                        chosen = chosen[pred.index - 1 : pred.index]
+                    else:
+                        chosen = [p for p in chosen if holds(pred, nodes[p])]
+                found.update(chosen)
+        current = sorted(found)
+    return current
+
+
+@functools.cache
+def _corpus_trees():
+    return tuple(parse_html(html) for html in scenario_pages(cases=1))
+
+
+@st.composite
+def tree_and_expr(draw):
+    """A random tree or a corpus scenario page, a context, and an
+    expression from it.  Each step heads for a node on the way down to a
+    drawn target, so most results are non-empty; its name may be *, and
+    its predicates, in random order, are drawn from that node (a class
+    value, a fragment of it, its text, a position) or from elsewhere."""
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32 - 1))
+        tree = DomTree(root=random_node(random.Random(seed), with_text=True, with_attrs=True))
+    else:
+        tree = draw(st.sampled_from(_corpus_trees()))
+    nodes = dict(enumerate_subtrees(tree))
+    target = draw(st.sampled_from(sorted(nodes)))
+    absolute = draw(st.booleans())
+    if absolute:
+        context, below = None, [target[:k] for k in range(len(target) + 1)]
+    else:
+        cut = draw(st.integers(0, max(0, len(target) - 1)))
+        context, below = target[:cut], [target[:k] for k in range(cut + 1, len(target) + 1)]
+    if not below:  # the target is the context: any step will do
+        below = [target + (0,)]
+    stops = sorted(draw(st.sets(st.sampled_from(below), min_size=1, max_size=3)))
+    stray = [n for n in nodes.values() if n.attributes.get("class")] or [tree.root]
+
+    def predicate(node):
+        kind = draw(st.sampled_from(("position", "equals", "fragment", "text")))
+        if kind == "position":
+            return Position(draw(st.integers(1, 3)))
+        if kind == "text":
+            return TextEquals(node.text if draw(st.booleans()) else draw(st.sampled_from(WORDS)))
+        if not node.attributes.get("class") or not draw(st.booleans()):
+            node = draw(st.sampled_from(stray))
+        value = node.attributes.get("class", "alpha")
+        if kind == "equals":
+            return AttrEquals("class", value)
+        part = re.escape(value[: draw(st.integers(1, len(value)))])
+        return AttrFragment("class", draw(st.sampled_from(("^%s", "%s$", "%s"))) % part)
+
+    steps = []
+    above = context
+    for stop in stops:
+        node = nodes.get(stop, tree.root)
+        one_level = above is not None and len(stop) == len(above) + 1 or stop == ()
+        axis = draw(st.sampled_from(("child", "descendant"))) if one_level else "descendant"
+        name = draw(st.sampled_from(("*", node.label, draw(st.sampled_from(SAFE_LABELS)))))
+        preds = tuple(predicate(node) for _ in range(draw(st.integers(0, 2))))
+        steps.append(Step(axis=axis, name=name, predicates=preds))
+        above = stop
+    return tree, XPathExpr(steps=tuple(steps), absolute=absolute), context
+
+
+class TestEvaluateDifferential:
+    """evaluate against a brute-force reference of the per-parent-group
+    semantics, over random trees, corpus pages and random expressions."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(tree_and_expr())
+    def test_equals_reference(self, case):
+        tree, expr, context = case
+        assert evaluate(expr, tree, context) == reference_evaluate(expr, tree, context)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(tree_and_expr())
+    def test_apply_plan_hands_back_the_nodes_of_its_paths(self, case):
+        tree, expr, context = case
+        plan = FallbackPlan(
+            best=expr,
+            best_tag="attribute",
+            fallbacks=(PlanEntry(expr, "index_relaxation", 61),),
+        )
+        try:
+            matches, tag = apply_plan(plan, tree, context_path=context)
+        except PlanExhausted:
+            assert all(not evaluate(e, tree, context) for _, e in plan.attempts)
+            return
+        answering = dict(plan.attempts[::-1])[tag] if tag != "attribute" else expr
+        assert [p for p, _ in matches] == evaluate(answering, tree, context)
+        for path, node in matches:
+            assert node is resolve(tree, path)
 
 
 class TestAnchors:
@@ -404,8 +541,8 @@ class TestRelaxation:
 class TestApplyPlan:
     def test_best_used_when_it_satisfies(self):
         plan = generate_plan(PAGE, (0, 0))
-        paths, tag = apply_plan(plan, PAGE, exactly_one())
-        assert paths == [(0, 0)]
+        matches, tag = apply_plan(plan, PAGE, exactly_one())
+        assert matches == [((0, 0), resolve(PAGE, (0, 0)))]
         assert tag == "id"
 
     def test_fragment_rescues_churned_class(self):
@@ -419,8 +556,8 @@ class TestApplyPlan:
             '<html><body><div class="product-9876"><span>x</span></div>'
             "<p>other</p></body></html>"
         )
-        paths, tag = apply_plan(plan, churned, exactly_one())
-        assert paths == [(0, 0)]
+        matches, tag = apply_plan(plan, churned, exactly_one())
+        assert [p for p, _ in matches] == [(0, 0)]
         assert tag == "fragment"
 
     def test_positional_rescues_renamed_class(self):
@@ -428,8 +565,8 @@ class TestApplyPlan:
         mutated = parse_html(
             PAGE_SOURCE.replace('class="product-1234"', 'class="totally-new"')
         )
-        paths, tag = apply_plan(plan, mutated, exactly_one())
-        assert paths == [(0, 1, 0)]
+        matches, tag = apply_plan(plan, mutated, exactly_one())
+        assert [p for p, _ in matches] == [(0, 1, 0)]
         assert tag == "positional"
 
     def test_constraints_reject_wrong_nodes_until_anchor_entry(self):
@@ -444,8 +581,8 @@ class TestApplyPlan:
             '<div id="box"><span>3.99</span></div><p>words</p></body></html>'
         )
         constraints = [exactly_one(), DatatypeConstraint(datatype="decimal")]
-        paths, tag = apply_plan(plan, mutated, constraints)
-        assert [resolve(mutated, p).text for p in paths] == ["3.99"]
+        matches, tag = apply_plan(plan, mutated, constraints)
+        assert [resolve(mutated, p).text for p, _ in matches] == ["3.99"]
         assert tag == "anchor"
 
     def test_relaxation_rescues_deleted_sibling(self):
@@ -457,14 +594,14 @@ class TestApplyPlan:
         mutated = parse_html(
             "<html><body><div><ul><li>goal</li></ul></div></body></html>"
         )
-        paths, tag = apply_plan(plan, mutated, exactly_one())
+        matches, tag = apply_plan(plan, mutated, exactly_one())
         assert tag == "index_relaxation"
-        assert [resolve(mutated, p).text for p in paths] == ["goal"]
+        assert [resolve(mutated, p).text for p, _ in matches] == ["goal"]
 
     def test_single_constraint_accepted_without_list(self):
         plan = generate_plan(PAGE, (0, 2))
-        paths, _ = apply_plan(plan, PAGE, exactly_one())
-        assert paths == [(0, 2)]
+        matches, _ = apply_plan(plan, PAGE, exactly_one())
+        assert [p for p, _ in matches] == [(0, 2)]
 
     def test_no_constraints_requires_nonempty(self):
         plan = generate_plan(PAGE, (0, 2))
