@@ -22,6 +22,7 @@ from dataclasses import replace
 from .corpus import DEFAULT_RATE, evaluate_corpus, flatten_results, with_algorithm
 from .dom import parse_html, serialize
 from .engine import ExecutionContext, execute_wrapper
+from .metrics import eval_table
 from .model import WrapperFormatError, load_wrapper
 from .mutate import OPERATIONS, MutationSpec, mutate_tree, truth_to_jsonable
 from .repo import NotFoundError, StorageError, WrapperStore
@@ -202,19 +203,6 @@ def cmd_mutate(args) -> int:
     return EXIT_OK
 
 
-def _eval_row(o) -> str:
-    cell = lambda v: "     -" if v is None else "%6.2f" % v
-    return "%-16s %6d %5d %5d  %s %s %s" % (
-        o.scenario,
-        o.tp,
-        o.fp,
-        o.fn,
-        cell(o.precision),
-        cell(o.recall),
-        cell(o.f1),
-    )
-
-
 def cmd_eval(args) -> int:
     root = pathlib.Path(args.corpus)
     if not root.is_dir():
@@ -226,16 +214,8 @@ def cmd_eval(args) -> int:
     fmt = args.format or "table"
     if fmt == "json":
         print(_dumps({name: o.to_dict() for name, o in outcomes.items()}))
-    else:
-        print("algorithm: %s" % algorithm)
-        print(
-            "%-16s %6s %5s %5s  %6s %6s %6s"
-            % ("scenario", "tp", "fp", "fn", "prec", "recall", "f1")
-        )
-        for name, outcome in outcomes.items():
-            if name != "overall":
-                print(_eval_row(outcome))
-        print(_eval_row(outcomes["overall"]))
+    else:  # "overall" is the last entry
+        print(eval_table(algorithm, outcomes.values()))
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from dataclasses import replace
 from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint
 from wrapmend.dom import DomTree, enumerate_subtrees, parse_html, serialize
 from wrapmend.engine import ExecutionContext, execute_wrapper
-from wrapmend.metrics import EvalOutcome, compute_metrics
+from wrapmend.metrics import compute_metrics, eval_table
 from wrapmend.model import (
     AdaptationConfig,
     Rule,
@@ -282,7 +282,7 @@ def evaluate_case(case_dir, algorithm: str = "weighted"):
 
 
 def evaluate_corpus(root, algorithm: str = "weighted") -> dict:
-    """Per-scenario EvalOutcomes plus a pooled "overall" entry."""
+    """Per-scenario EvalOutcomes, then a pooled "overall" entry."""
     root = pathlib.Path(root)
     out = {}
     total = [0, 0, 0]
@@ -302,19 +302,6 @@ def evaluate_corpus(root, algorithm: str = "weighted") -> dict:
     return out
 
 
-def _outcome_row(o: EvalOutcome) -> str:
-    fmt = lambda v: "-" if v is None else "%6.2f" % v
-    return "%-16s tp=%-5d fp=%-4d fn=%-4d p=%s r=%s f=%s" % (
-        o.scenario,
-        o.tp,
-        o.fp,
-        o.fn,
-        fmt(o.precision),
-        fmt(o.recall),
-        fmt(o.f1),
-    )
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="wrapmend.corpus", description="build the synthetic evaluation corpus"
@@ -326,16 +313,14 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--evaluate",
         action="store_true",
-        help="score the corpus after building it, one line per scenario",
+        help="score the corpus after building it, as `wrapmend eval` prints it",
     )
     args = ap.parse_args(argv)
     written = build_corpus(args.out, cases=args.cases, rate=args.rate, seed=args.seed)
     print("wrote %d cases under %s" % (len(written), args.out))
     if args.evaluate:
         for algorithm in ("weighted", "simple"):
-            print("algorithm: %s" % algorithm)
-            for scenario, outcome in evaluate_corpus(args.out, algorithm).items():
-                print("  " + _outcome_row(outcome))
+            print(eval_table(algorithm, evaluate_corpus(args.out, algorithm).values()))
     return 0
 
 

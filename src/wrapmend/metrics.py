@@ -46,6 +46,21 @@ class EvalOutcome:
         }
 
 
+def eval_table(algorithm: str, outcomes) -> str:
+    """The evaluation table of one algorithm: a header, then one row per
+    outcome in the order given."""
+    cell = lambda v: "     -" if v is None else "%6.2f" % v
+    lines = [
+        "algorithm: %s" % algorithm,
+        "%-16s %6s %5s %5s  %6s %6s %6s"
+        % ("scenario", "tp", "fp", "fn", "prec", "recall", "f1"),
+    ]
+    for o in outcomes:
+        cells = (cell(o.precision), cell(o.recall), cell(o.f1))
+        lines.append("%-16s %6d %5d %5d  %s %s %s" % (o.scenario, o.tp, o.fp, o.fn, *cells))
+    return "\n".join(lines)
+
+
 def _pct(x: Decimal) -> float:
     return float((x * 100).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 

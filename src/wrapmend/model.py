@@ -7,15 +7,18 @@ adaptation config, a stored example subtree, and a learned template.
 
 Wrapper values are immutable by convention: execution never mutates one,
 adaptation builds a new value with a bumped version.  The JSON file
-format is pinned by schema/wrapper-v1.schema.json, shipped with the
-package and enforced on load: a file the format checks below certify is
-built directly, and any other is judged and worded by jsonschema, which
-is imported only then.
+format is stated once, in schema/wrapper-v1.schema.json, shipped with
+the package.  At import the schema is compiled into an accept-only check:
+a file it certifies is built directly, and any other is judged and
+worded by jsonschema, which is imported only then.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import re
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
@@ -29,9 +32,9 @@ from wrapmend.dom import (
     resolve,
     serialize,
 )
-from wrapmend.constraints import DATATYPES, constraint_from_dict
+from wrapmend.constraints import constraint_from_dict
 from wrapmend.matching import DEFAULT_LABELER, Labeler
-from wrapmend.template import OCCURRENCES, TreeTemplate
+from wrapmend.template import TreeTemplate
 from wrapmend.xpath import FallbackPlan
 
 
@@ -331,6 +334,11 @@ def capture_example(
     )
 
 
+_SCHEMA = json.loads(
+    resources.files("wrapmend")
+    .joinpath("schema/wrapper-v1.schema.json")
+    .read_text("utf-8")
+)
 _validator_cache = None
 
 
@@ -342,15 +350,9 @@ def _validator():
     if _validator_cache is None:
         from jsonschema.validators import validator_for
 
-        text = (
-            resources.files("wrapmend")
-            .joinpath("schema/wrapper-v1.schema.json")
-            .read_text("utf-8")
-        )
-        schema = json.loads(text)
-        cls = validator_for(schema)
-        cls.check_schema(schema)
-        _validator_cache = cls(schema)
+        cls = validator_for(_SCHEMA)
+        cls.check_schema(_SCHEMA)
+        _validator_cache = cls(_SCHEMA)
     return _validator_cache
 
 
@@ -358,179 +360,165 @@ def _validator():
 # level below the rule: deeper files are refused before anything recurses.
 MAX_NESTING = 100
 
-# The format checks: one table per $def of the schema, naming each field
-# once with its check; a check says yes only when the value certainly
-# matches.  They are stricter in places (an integer must be an int, so 1.0
-# is left to the schema), which only sends a file to the validator; they
-# are never looser, and never raise.
+
+def _nesting(d) -> int:
+    """How deep rules and templates nest in the file dict d, counted level
+    by level without recursion: a top-level rule is at depth 1, a rule's
+    template one below it.  Items of any type count, so the depth is the
+    one the schema would recurse to."""
+    rules = d.get("rules") if isinstance(d, dict) else None
+    level = [(r, True) for r in rules] if isinstance(rules, list) else []
+    depth = 0
+    while level:
+        depth, below = depth + 1, []
+        for value, is_rule in level:
+            if isinstance(value, dict):
+                children = value.get("children")
+                if isinstance(children, list):
+                    below += [(c, is_rule) for c in children]
+                template = value.get("template") if is_rule else None
+                if isinstance(template, dict):
+                    below.append((template, False))
+        level = below
+    return depth
 
 
-def _object(fields: dict, required=()):
-    """A check for a JSON object: yes only for a dict that holds every
-    required key, and whose every key is a field whose check passes.
-    The check keeps `fields` and `required`, to be held to the schema."""
-    required = frozenset(required)
+# The format check is the shipped schema compiled at import, one check per
+# schema node.  A check says yes only when the value certainly matches its
+# node, and never raises on a value that nests within MAX_NESTING.  It is
+# stricter in places, which only sends a file to the validator: JSON types
+# are exact (1.0 is not an integer, True is not a number, NaN is in no
+# range), an object or array node refuses other types even without "type",
+# and uniqueItems holds only for distinct strings.  A keyword the compiler
+# cannot state exactly stops the import, as skipping it would be looser.
+
+_TYPES = {
+    "null": (type(None),),
+    "boolean": (bool,),
+    "integer": (int,),
+    "number": (int, float),
+    "string": (str,),
+    "array": (list,),
+    "object": (dict,),
+}
+_ANNOTATIONS = frozenset(("$schema", "$id", "$defs", "title", "description"))
+
+
+def _compile(schema: dict, defs: dict, done: dict):
+    """The check of one schema node.  defs are the schema's $defs, and
+    done maps each def compiled so far to its check, None while it is
+    being compiled."""
+    keys = schema.keys() - _ANNOTATIONS
+    get, sub = schema.get, lambda node: _compile(node, defs, done)
+    if "$ref" in keys:
+        name = schema["$ref"].removeprefix("#/$defs/")
+        _expect(keys == {"$ref"} and name in defs, schema)
+        if name not in done:
+            done[name] = None
+            done[name] = sub(defs[name])
+        # only a def used inside itself is looked up when called
+        return done[name] or (lambda v: done[name](v))
+    if "oneOf" in keys:
+        # "some branch says yes" is oneOf only while no value matches two
+        # branches.  This schema's branches exclude each other: distinct
+        # kind consts, disjoint required keys under additionalProperties
+        # false, null beside an object; the differential tests hold it.
+        check = functools.reduce(_either, map(sub, schema["oneOf"]))
+        if keys == {"oneOf"}:
+            return check
+        rest = sub({k: schema[k] for k in keys - {"oneOf"}})
+        return lambda v: rest(v) and check(v)
+    if keys & {"properties", "required", "additionalProperties"}:
+        _expect(
+            keys <= {"type", "properties", "required", "additionalProperties"}
+            and get("type", "object") == "object"
+            and get("additionalProperties", False) is False,
+            schema,
+        )
+        fields = {k: sub(v) for k, v in get("properties", {}).items()}
+        required = frozenset(get("required", ()))
+        return _object(fields, required, "additionalProperties" in keys)
+    if keys & {"items", "uniqueItems"}:
+        unique = get("uniqueItems", False)
+        _expect(
+            keys <= {"type", "items", "uniqueItems"}
+            and get("type", "array") == "array"
+            and type(unique) is bool,
+            schema,
+        )
+        item = sub(get("items", {}))
+        return lambda v: (
+            type(v) is list
+            and all(map(item, v))
+            and (not unique or {type(x) for x in v} <= {str} and len(set(v)) == len(v))
+        )
+    if keys & {"enum", "const"}:
+        choices = frozenset(schema["enum"] if "enum" in keys else [schema["const"]])
+        # in Python 1 == 1.0 == True, in JSON they differ
+        _expect(len(keys) == 1 and {type(c) for c in choices} <= {str}, schema)
+        return lambda v: type(v) is str and v in choices
+    _expect(keys <= {"type", "minimum", "maximum", "minLength", "pattern"}, schema)
+    if not keys:
+        return lambda v: True
+    names = get("type", list(_TYPES))
+    names = [names] if isinstance(names, str) else names
+    return functools.reduce(_either, (_typed(name, schema) for name in names))
+
+
+def _expect(holds: bool, schema: dict) -> None:
+    if not holds:
+        raise ValueError("no format check for %s" % (json.dumps(schema),))
+
+
+def _either(a, b):
+    if b is _null:  # the common "or null", one call shorter
+        return lambda v: v is None or a(v)
+    return lambda v: a(v) or b(v)
+
+
+def _null(v) -> bool:
+    return v is None
+
+
+def _object(fields: dict, required: frozenset, closed: bool):
+    if not (fields or closed):
+        return lambda d: type(d) is dict and d.keys() >= required
 
     def check(d) -> bool:
-        if not isinstance(d, dict) or not d.keys() >= required:
+        if type(d) is not dict or not d.keys() >= required:
             return False
         for k, v in d.items():
-            field_check = fields.get(k)
-            if field_check is None or not field_check(v):
+            field = fields.get(k)
+            if field is None:
+                if closed:
+                    return False
+            elif not field(v):
                 return False
         return True
 
-    check.fields = fields
-    check.required = required
     return check
 
 
-def _is(*types):
-    # exact types: a bool is not a number here
-    return lambda v: type(v) in types
+def _typed(name: str, schema: dict):
+    """The check of one JSON type under the keywords that apply to it."""
+    types, get = _TYPES[name], schema.get
+    if name == "string":
+        size, pattern = get("minLength", 0), get("pattern")
+        _expect(type(size) is int, schema)
+        if pattern is None:
+            return lambda v: type(v) is str and len(v) >= size
+        search = re.compile(pattern).search  # as jsonschema matches it
+        return lambda v: type(v) is str and len(v) >= size and search(v) is not None
+    if name in ("integer", "number"):
+        low, high = get("minimum", -math.inf), get("maximum", math.inf)
+        _expect({type(low), type(high)} <= {int, float}, schema)
+        return lambda v: type(v) in types and low <= v <= high
+    return _null if name == "null" else lambda v: type(v) in types
 
 
-def _int_from(minimum):
-    return lambda v: type(v) is int and v >= minimum
-
-
-def _one_of(choices):
-    return lambda v: isinstance(v, str) and v in choices
-
-
-def _list_of(check):
-    return lambda v: isinstance(v, list) and all(map(check, v))
-
-
-def _or_null(check):
-    return lambda v: v is None or check(v)
-
-
-def _string(v) -> bool:
-    return isinstance(v, str)
-
-
-def _text(v) -> bool:
-    return isinstance(v, str) and v != ""
-
-
-def _unit(v) -> bool:
-    return _number(v) and 0 <= v <= 1
-
-
-_boolean, _number, _count = _is(bool), _is(int, float), _int_from(0)
-
-_cardinality = _object(
-    {"kind": lambda v: v == "cardinality", "min": _count, "max": _or_null(_count)},
-    ("kind", "min"),
-)
-_datatype = _object(
-    {
-        "kind": lambda v: v == "datatype",
-        "datatype": _one_of(DATATYPES),
-        "pattern": _or_null(_string),
-    },
-    ("kind", "datatype"),
-)
-
-
-def _constraint(c) -> bool:
-    return _cardinality(c) or _datatype(c)
-
-
-_plan_entry = _object(
-    {"expr": _text, "tag": _text, "priority": _is(int)}, ("expr", "tag", "priority")
-)
-_constant = _object({"constant": _unit}, ("constant",))
-_interval = _object({"low": _unit, "high": _unit}, ("low", "high"))
-_labeler = _object(
-    {"element_name": _boolean, "id_attribute": _boolean, "class_attribute": _boolean}
-)
-_triggers = _list_of(_one_of(TRIGGERS))
-_adaptation = _object(
-    {
-        "algorithm": _one_of(ALGORITHMS),
-        "threshold": lambda v: _constant(v) or _interval(v),
-        "last_chosen": _or_null(_number),
-        "labeler": _labeler,
-        "ancestor_level": _or_null(_count),
-        "triggers": lambda v: _triggers(v) and len(set(v)) == len(v),
-        "update_stored": _boolean,
-        "algorithm_order": _list_of(_one_of(ALGORITHMS)),
-        "cascade_opt_out": _boolean,
-    },
-    ("algorithm", "threshold"),
-)
-_stored_example = _object(
-    {
-        "html": _text,
-        "residual_path": _list_of(_count),
-        "captured_from": _string,
-        "captured_at": _string,
-    },
-    ("html", "residual_path"),
-)
-# one template node and one rule node: _nested hands over their children
-# and a rule's template
-_template = _object(
-    {
-        "label": _text,
-        "occurrence": _one_of(OCCURRENCES),
-        "depth_optional": _boolean,
-        "children": _is(list),
-    },
-    ("label", "occurrence"),
-)
-_rule = _object(
-    {
-        "name": lambda v: _text(v) and "/" not in v,
-        "xpath_best": _object({"expr": _text, "tag": _text}, ("expr",)),
-        "xpath_fallbacks": _list_of(_plan_entry),
-        "constraints": _list_of(_constraint),
-        "adaptation": _or_null(_adaptation),
-        "stored_example": _or_null(_stored_example),
-        "template": _or_null(_is(dict)),
-        "children": _is(list),
-    },
-    ("name", "xpath_best"),
-)
-_file = _object(
-    {
-        "name": _text,
-        "version": _int_from(1),
-        "constraints": _list_of(_constraint),
-        "rules": _is(list),
-    },
-    ("name", "version", "rules"),
-)
-
-
-def _nested(d):
-    """Yield (check, value, depth) for every rule and template value in
-    the file dict d, each before what it holds, without recursion.  check
-    is _rule or _template; a top-level rule has depth 1.  Values of any
-    type are yielded, so the depth is the one the schema would recurse to."""
-    rules = d.get("rules") if isinstance(d, dict) else None
-    stack = [(_rule, r, 1) for r in rules] if isinstance(rules, list) else []
-    while stack:
-        check, value, depth = stack.pop()
-        yield check, value, depth
-        if not isinstance(value, dict):
-            continue
-        children = value.get("children")
-        if isinstance(children, list):
-            stack.extend((check, c, depth + 1) for c in children)
-        template = value.get("template") if check is _rule else None
-        if isinstance(template, dict):
-            stack.append((_template, template, depth + 1))
-
-
-def _conforms(d) -> bool:
-    """True only when d certainly matches the schema and nests no deeper
-    than MAX_NESTING."""
-    return _file(d) and all(
-        depth <= MAX_NESTING and check(v) for check, v, depth in _nested(d)
-    )
+# The check of a whole wrapper file: wrapper_from_dict bounds the nesting
+# before it calls it, and the differential tests replace it.
+_conforms = _compile(_SCHEMA, _SCHEMA["$defs"], {})
 
 
 def wrapper_to_dict(wrapper: Wrapper) -> dict:
@@ -538,15 +526,15 @@ def wrapper_to_dict(wrapper: Wrapper) -> dict:
 
 
 def wrapper_from_dict(d: dict) -> Wrapper:
-    """Build a Wrapper from its file dict.  One the format checks do not
-    certify is refused when it nests too deep, and otherwise goes to the
-    schema validator, whose first error is the message."""
+    """Build a Wrapper from its file dict.  One that nests deeper than
+    MAX_NESTING is refused, and one the format check does not certify goes
+    to the schema validator, whose first error is the message."""
+    depth = _nesting(d)
+    if depth > MAX_NESTING:
+        raise WrapperFormatError(
+            "rules and templates nest %d deep, more than %d" % (depth, MAX_NESTING)
+        )
     if not _conforms(d):
-        depth = max((depth for _, _, depth in _nested(d)), default=0)
-        if depth > MAX_NESTING:
-            raise WrapperFormatError(
-                "rules and templates nest %d deep, more than %d" % (depth, MAX_NESTING)
-            )
         from jsonschema.exceptions import best_match
 
         error = best_match(_validator().iter_errors(d))

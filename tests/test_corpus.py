@@ -3,6 +3,7 @@
 import json
 import random
 
+from wrapmend.cli import main as cli_main
 from wrapmend.corpus import (
     SCENARIOS,
     author_wrapper,
@@ -193,3 +194,14 @@ class TestCorpusEvaluation:
         assert rc == 0
         assert "wrote 7 cases" in capsys.readouterr().out
         assert (root / "shuffled" / "case00" / "wrapper.json").exists()
+
+    def test_evaluate_prints_what_eval_prints(self, tmp_path, capsys):
+        root = tmp_path / "out"
+        assert main(["--out", str(root), "--cases", "1", "--evaluate"]) == 0
+        built = capsys.readouterr().out.splitlines()
+        tables = []
+        for algorithm in ("weighted", "simple"):
+            assert cli_main(["--algorithm", algorithm, "eval", str(root)]) == 0
+            tables += capsys.readouterr().out.splitlines()
+        assert built[0] == "wrote 7 cases under %s" % root
+        assert built[1:] == tables

@@ -1,14 +1,17 @@
 """The accept-only format check in front of jsonschema.
 
 wrapper_from_dict builds a dict that model._conforms certifies without
-asking jsonschema.  _conforms may be stricter than the schema, which
-only sends a dict to the validator, but never looser, and it never
-raises.  These tests hold it to that against the shipped schema on
-generated, corpus and hand-built wrappers, on one-field mutations of
-them and on hypothesis-generated JSON values.  They also check the
-nesting bound and that accepting a wrapper never imports jsonschema.
+asking jsonschema.  _conforms is the shipped schema compiled at import.
+It may be stricter than the schema, which only sends a dict to the
+validator, but never looser, and it never raises.  These tests hold it
+to that against the shipped schema on generated, corpus and hand-built
+wrappers, on one-field mutations of them and on hypothesis-generated
+JSON values, and check that edits to the schema carry into the check.
+They also check the nesting bound and that accepting a wrapper never
+imports jsonschema.
 """
 
+import copy
 import functools
 import json
 import os
@@ -21,12 +24,19 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from jsonschema.validators import validator_for
 
 import wrapmend.model as model
 from conftest import random_wrapper
 from test_model import sample_wrapper
 from wrapmend.constraints import DATATYPES
-from wrapmend.corpus import DEFAULT_RATE, author_wrapper, generate_page
+from wrapmend.corpus import (
+    DEFAULT_RATE,
+    SCENARIOS,
+    author_wrapper,
+    generate_page,
+    with_algorithm,
+)
 from wrapmend.dom import parse_html, serialize
 from wrapmend.engine import ExecutionContext, execute_wrapper
 from wrapmend.model import (
@@ -61,6 +71,33 @@ def corpus_wrappers() -> tuple:
     )
     assert any(r.template is not None for _, r in repaired.iter_rules())
     return authored, repaired
+
+
+# The case of each scenario whose run writes a wrapper back, seeded as
+# build_corpus seeds it; mixed case 9 writes a depth_optional template.
+# Runs of wrapped, flattened and shuffled pages keep their authored
+# locators at the corpus rate and write nothing back, so they have none.
+REPAIRED_CASES = {"relabel": 0, "attribute_loss": 0, "duplicated": 0, "mixed": 9}
+
+
+@functools.cache
+def scenario_wrappers() -> tuple:
+    """Each scenario's written-back wrapper under each algorithm."""
+    wrappers = []
+    for index, (scenario, operations) in enumerate(SCENARIOS):
+        if scenario not in REPAIRED_CASES:
+            continue
+        seed = index * 1000 + REPAIRED_CASES[scenario]
+        page = parse_html(generate_page(random.Random(seed)))
+        spec = MutationSpec(operations=operations, seed=seed + 500, rate=DEFAULT_RATE)
+        damaged = parse_html(serialize(mutate_tree(page, spec)[0]))
+        for algorithm in ALGORITHMS:
+            authored = with_algorithm(author_wrapper(page), algorithm)
+            _, _, repaired = execute_wrapper(
+                authored, ExecutionContext(pages=(damaged,))
+            )
+            wrappers.append(repaired)
+    return tuple(wrappers)
 
 
 def outcome(d):
@@ -184,31 +221,8 @@ class TestConforms:
         assert tuple(datatype["enum"]) == DATATYPES
         assert tuple(defs["template"]["properties"]["occurrence"]["enum"]) == OCCURRENCES
 
-    def test_tables_name_the_schema_fields(self):
-        # a schema edit the tables miss fails here before any mutant finds it
-        tables = {
-            "constraint": (model._cardinality, model._datatype),
-            "plan_entry": model._plan_entry,
-            "threshold": (model._constant, model._interval),
-            "labeler": model._labeler,
-            "adaptation": model._adaptation,
-            "stored_example": model._stored_example,
-            "template": model._template,
-            "rule": model._rule,
-        }
-        defs = SCHEMA["$defs"]
-        assert tables.keys() == defs.keys()
-        pairs = [(model._file, SCHEMA)]
-        for name, table in tables.items():
-            if isinstance(table, tuple):
-                pairs += zip(table, defs[name]["oneOf"], strict=True)
-            else:
-                pairs.append((table, defs[name]))
-        xpath_best = defs["rule"]["properties"]["xpath_best"]
-        pairs.append((model._rule.fields["xpath_best"], xpath_best))
-        for table, schema in pairs:
-            assert table.fields.keys() == schema["properties"].keys()
-            assert table.required == set(schema.get("required", ()))
+    def test_schema_is_valid_under_its_metaschema(self):
+        validator_for(SCHEMA).check_schema(SCHEMA)
 
     def test_library_wrappers_are_accepted(self):
         rng = random.Random(0xC0FFEE)
@@ -221,8 +235,15 @@ class TestConforms:
 
     def test_one_field_mutants(self):
         accepted = refused = 0
-        # the repaired corpus wrapper holds every $def the authored one does
-        for w in (corpus_wrappers()[1], sample_wrapper()):
+        # written-back wrappers hold every $def an authored one does, and
+        # the sample adds a constant threshold
+        wrappers = (*scenario_wrappers(), sample_wrapper())
+        texts = "".join(map(wrapper_json, wrappers))
+        for shape in ('"depth_optional": true', '"one_or_more"', '"constant"', '"low"'):
+            assert shape in texts
+        assert any(type(r.adaptation.last_chosen) is float
+                   for w in wrappers for _, r in w.iter_rules() if r.adaptation)
+        for w in wrappers:
             d = json.loads(wrapper_json(w))
             for mutant in one_field_mutants(d):
                 if check(mutant):
@@ -231,7 +252,7 @@ class TestConforms:
                     refused += 1
             assert d == json.loads(wrapper_json(w))  # every mutation undone
         # both sides are exercised, so the comparisons above said something
-        assert accepted > 100 and refused > 1000
+        assert accepted > 1000 and refused > 10000
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(GENERATED, st.integers(min_value=0))
@@ -244,6 +265,54 @@ class TestConforms:
             container, key = spots[where % len(spots)]
             container[key] = value
         check(d)
+
+
+def edited(edit) -> dict:
+    """A copy of the shipped schema, changed by edit."""
+    schema = copy.deepcopy(SCHEMA)
+    edit(schema)
+    return schema
+
+
+def compiled(schema: dict):
+    return model._compile(schema, schema["$defs"], {})
+
+
+class TestCompile:
+    """The check is derived from the schema file: an edit to the file
+    changes what it says, and one it cannot state stops the compile."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda s: s["$defs"]["rule"]["required"].append("weight"),
+            lambda s: s["$defs"]["adaptation"]["properties"]["algorithm"]["enum"]
+            .remove("weighted"),
+            lambda s: s["$defs"]["threshold"]["oneOf"][1]["properties"]["high"]
+            .update(maximum=0.5),
+        ],
+        ids=["required_key", "enum_member", "maximum"],
+    )
+    def test_a_tightened_schema_refuses(self, edit):
+        d = json.loads(wrapper_json(corpus_wrappers()[1]))
+        assert compiled(SCHEMA)(d)
+        schema = edited(edit)
+        assert not validator_for(schema)(schema).is_valid(d)
+        assert not compiled(schema)(d)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda s: s["$defs"]["rule"]["properties"]["children"].update(maxItems=3),
+            lambda s: s["$defs"]["labeler"].update(additionalProperties={}),
+            lambda s: s["$defs"]["adaptation"]["properties"]["algorithm"]["enum"]
+            .append(1),
+        ],
+        ids=["unknown_keyword", "open_additional_properties", "numeric_enum"],
+    )
+    def test_what_it_cannot_state_stops_the_compile(self, edit):
+        with pytest.raises(ValueError, match="no format check"):
+            compiled(edited(edit))
 
 
 def chain(depth: int, template_depth: int = 0, bad: bool = False) -> dict:
