@@ -25,6 +25,7 @@ from wrapmend.dom import (
     enumerate_subtrees,
     parse_html,
     parse_snippet,
+    read_page,
     resolve,
     serialize,
 )

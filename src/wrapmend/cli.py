@@ -19,8 +19,8 @@ import pathlib
 import sys
 from dataclasses import replace
 
-from .corpus import DEFAULT_RATE, evaluate_corpus, flatten_results, with_algorithm
-from .dom import parse_html, serialize
+from .corpus import DEFAULT_RATE, CaseError, evaluate_corpus, flatten_results, with_algorithm
+from .dom import read_page, serialize
 from .engine import ExecutionContext, execute_wrapper
 from .metrics import eval_table
 from .model import WrapperFormatError, load_wrapper
@@ -74,17 +74,16 @@ def _delta_line(report) -> str:
 
 
 def cmd_run(args) -> int:
+    if args.commit and not args.store:
+        return _usage("--commit needs --store")
     try:
         wrapper = load_wrapper(args.wrapper)
-    except (OSError, WrapperFormatError, json.JSONDecodeError) as e:
+    except (OSError, WrapperFormatError) as e:
         return _usage("cannot load wrapper %s: %s" % (args.wrapper, e))
-    pages = []
-    for path in args.pages:
-        try:
-            text = pathlib.Path(path).read_text()
-        except OSError as e:
-            return _usage("cannot read page: %s" % e)
-        pages.append(parse_html(text, source_id=str(path)))
+    try:
+        pages = [read_page(path, source_id=str(path)) for path in args.pages]
+    except OSError as e:
+        return _usage("cannot read page: %s" % e)
 
     if args.algorithm:
         wrapper = with_algorithm(wrapper, args.algorithm)
@@ -98,8 +97,6 @@ def cmd_run(args) -> int:
 
     committed = None
     if args.commit and new_wrapper is not None:
-        if not args.store:
-            return _usage("--commit needs --store")
         store = WrapperStore(args.store)
         summary = tuple(
             (r.rule_name, r.trigger, _delta_line(r)) for r in reports if r.succeeded
@@ -126,7 +123,10 @@ def cmd_run(args) -> int:
     }
     text = _dumps(doc)
     if args.out:
-        pathlib.Path(args.out).write_text(text + "\n")
+        try:
+            pathlib.Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as e:
+            return _usage("cannot write run document: %s" % e)
     fmt = args.format or "json"
     if fmt == "json":
         if not args.out:
@@ -153,10 +153,9 @@ def cmd_run(args) -> int:
 def cmd_mutate(args) -> int:
     page_path = pathlib.Path(args.page)
     try:
-        text = page_path.read_text()
+        tree = read_page(page_path, source_id=page_path.name)
     except OSError as e:
         return _usage("cannot read page: %s" % e)
-    tree = parse_html(text, source_id=page_path.name)
     spec = MutationSpec(
         operations=tuple(args.op) if args.op else OPERATIONS,
         seed=args.seed,
@@ -168,17 +167,16 @@ def cmd_mutate(args) -> int:
     truth = pathlib.Path(
         args.truth or page_path.with_name(page_path.stem + ".truth.json")
     )
-    out.write_text(serialize(mutated))
-    truth.write_text(
-        _dumps(
-            {
-                "page": page_path.name,
-                "spec": spec.to_dict(),
-                "mapping": truth_to_jsonable(mapping),
-            }
-        )
-        + "\n"
-    )
+    doc = {
+        "page": page_path.name,
+        "spec": spec.to_dict(),
+        "mapping": truth_to_jsonable(mapping),
+    }
+    try:
+        out.write_text(serialize(mutated), encoding="utf-8")
+        truth.write_text(_dumps(doc) + "\n", encoding="utf-8")
+    except OSError as e:
+        return _usage("cannot write mutation output: %s" % e)
 
     # attribute-level damage keeps paths identical, so this only counts
     # structural movement; the truth map is the full story
@@ -208,7 +206,10 @@ def cmd_eval(args) -> int:
     if not root.is_dir():
         return _usage("not a corpus directory: %s" % root)
     algorithm = args.algorithm or "weighted"
-    outcomes = evaluate_corpus(root, algorithm)
+    try:
+        outcomes = evaluate_corpus(root, algorithm)
+    except CaseError as e:
+        return _usage(str(e))
     if len(outcomes) <= 1:  # nothing but the empty "overall" entry
         return _usage("no scenario cases under %s" % root)
     fmt = args.format or "table"

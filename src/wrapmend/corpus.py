@@ -18,7 +18,7 @@ import random
 from dataclasses import replace
 
 from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint
-from wrapmend.dom import DomTree, enumerate_subtrees, parse_html, serialize
+from wrapmend.dom import DomTree, enumerate_subtrees, parse_html, read_page, serialize
 from wrapmend.engine import ExecutionContext, execute_wrapper
 from wrapmend.metrics import compute_metrics, eval_table
 from wrapmend.model import (
@@ -211,8 +211,8 @@ def build_case(case_dir, operations, page_seed: int, mutation_seed: int, rate: f
     mutated, mapping = mutate_tree(page, spec)
     expected = expected_extraction(wrapper, page)
 
-    (case_dir / "original.html").write_text(serialize(page))
-    (case_dir / "mutated.html").write_text(serialize(mutated))
+    (case_dir / "original.html").write_text(serialize(page), encoding="utf-8")
+    (case_dir / "mutated.html").write_text(serialize(mutated), encoding="utf-8")
     save_wrapper(wrapper, case_dir / "wrapper.json")
     truth = {
         "mapping": truth_to_jsonable(mapping),
@@ -221,7 +221,7 @@ def build_case(case_dir, operations, page_seed: int, mutation_seed: int, rate: f
         },
     }
     (case_dir / "truth.json").write_text(
-        json.dumps(truth, indent=2, sort_keys=True) + "\n"
+        json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
@@ -255,20 +255,27 @@ def with_algorithm(wrapper: Wrapper, algorithm: str) -> Wrapper:
     return wrapper.map_rules(pin)
 
 
+class CaseError(Exception):
+    """A corpus case whose files cannot be read; the message names it."""
+
+
 def evaluate_case(case_dir, algorithm: str = "weighted"):
     """(tp, fp, fn) for one case: run the wrapper on the mutated page and
     compare against the mapped expected targets."""
     case_dir = pathlib.Path(case_dir)
-    wrapper = with_algorithm(load_wrapper(case_dir / "wrapper.json"), algorithm)
-    mutated = parse_html((case_dir / "mutated.html").read_text(), source_id="mutated")
-    truth = json.loads((case_dir / "truth.json").read_text())
-    mapping = truth["mapping"]
+    try:
+        wrapper = with_algorithm(load_wrapper(case_dir / "wrapper.json"), algorithm)
+        mutated = read_page(case_dir / "mutated.html", source_id="mutated")
+        truth = json.loads((case_dir / "truth.json").read_bytes())
+        mapping, expected = truth["mapping"], truth["expected"]
+    except (OSError, ValueError, LookupError, TypeError) as e:
+        raise CaseError("cannot read case %s: %s" % (case_dir, e))
 
     results, _, _ = execute_wrapper(wrapper, ExecutionContext(pages=(mutated,)))
     resolved = flatten_results(results)
 
     tp = fp = fn = 0
-    for rule, exp_paths in truth["expected"].items():
+    for rule, exp_paths in expected.items():
         mapped = set()
         for p in exp_paths:
             new = mapping.get(path_to_str(tuple(p)))

@@ -249,15 +249,7 @@ class _TreeBuilder(HTMLParser):
             return
         node.text = node.text + " " + seg if node.text else seg
 
-    # comments, doctype, processing instructions: dropped
-    def handle_comment(self, data):
-        pass
-
-    def handle_decl(self, decl):
-        pass
-
-    def handle_pi(self, data):
-        pass
+    # comments, doctype, processing instructions: HTMLParser's handlers drop them
 
     def finish(self, synthesize_root: bool) -> DomNode:
         top = self.sentinel.children
@@ -276,15 +268,28 @@ class _TreeBuilder(HTMLParser):
         return top[0]
 
 
+def _build(source, synthesize_root: bool):
+    """(root, element count) of str or bytes markup.  Bytes are UTF-8 with
+    universal newlines, and bytes that do not decode become U+FFFD."""
+    if isinstance(source, bytes):
+        source = source.decode("utf-8", errors="replace")
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
+    builder = _TreeBuilder()
+    builder.parse(source)
+    return builder.finish(synthesize_root), builder.count
+
+
 def parse_html(source, source_id: str = "") -> DomTree:
     """Parse a full page.  Never raises on malformed markup; an empty or
     element-free document yields a bare synthesized <html> root."""
-    if isinstance(source, bytes):
-        source = source.decode("utf-8", errors="replace")
-    builder = _TreeBuilder()
-    builder.parse(source)
-    root = builder.finish(synthesize_root=True)
-    return DomTree(root=root, source_id=source_id, node_count=builder.count)
+    root, count = _build(source, synthesize_root=True)
+    return DomTree(root=root, source_id=source_id, node_count=count)
+
+
+def read_page(path, source_id: str = "") -> DomTree:
+    """Parse the page file at path as parse_html parses its bytes."""
+    with open(path, "rb") as fh:
+        return parse_html(fh.read(), source_id)
 
 
 def parse_snippet(source) -> DomNode:
@@ -293,11 +298,7 @@ def parse_snippet(source) -> DomNode:
     Raises ParseError when the snippet does not contain exactly one
     top-level element.
     """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8", errors="replace")
-    builder = _TreeBuilder()
-    builder.parse(source)
-    return builder.finish(synthesize_root=False)
+    return _build(source, synthesize_root=False)[0]
 
 
 _TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}

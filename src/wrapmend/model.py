@@ -558,19 +558,23 @@ def wrapper_json(wrapper: Wrapper) -> str:
     return json.dumps(wrapper_to_dict(wrapper), indent=2, sort_keys=True) + "\n"
 
 
+def wrapper_dict(data: bytes):
+    """The JSON value of a wrapper file: UTF-8 JSON, else WrapperFormatError."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, too deep
+        raise WrapperFormatError("not UTF-8 JSON: %s" % (e,))
+
+
 def save_wrapper(wrapper: Wrapper, path) -> None:
     """Write the wrapper's file text, which must load back: otherwise
     WrapperFormatError is raised before the file is opened."""
-    text = wrapper_json(wrapper)
-    wrapper_from_dict(json.loads(text))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    content = wrapper_json(wrapper).encode("utf-8")
+    wrapper_from_dict(wrapper_dict(content))
+    with open(path, "wb") as fh:
+        fh.write(content)
 
 
 def load_wrapper(path) -> Wrapper:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise WrapperFormatError("not valid JSON: %s" % (e,))
-    return wrapper_from_dict(d)
+    with open(path, "rb") as fh:
+        return wrapper_from_dict(wrapper_dict(fh.read()))

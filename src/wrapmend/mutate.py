@@ -54,14 +54,6 @@ class MutationSpec:
             "rate": self.rate,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MutationSpec":
-        return cls(
-            operations=tuple(d.get("operations", OPERATIONS)),
-            seed=d.get("seed", 0),
-            rate=d.get("rate", 0.1),
-        )
-
 
 def _index(children: list, node: DomNode) -> int:
     # by identity: DomNode equality is structural, and an equal sibling
@@ -181,21 +173,8 @@ def path_to_str(path) -> str:
     return "/".join(str(i) for i in path)
 
 
-def str_to_path(s: str) -> tuple:
-    if not s:
-        return ()
-    return tuple(int(part) for part in s.split("/"))
-
-
 def truth_to_jsonable(truth: dict) -> dict:
     return {
         path_to_str(orig): (list(new) if new is not None else None)
         for orig, new in sorted(truth.items())
-    }
-
-
-def truth_from_jsonable(d: dict) -> dict:
-    return {
-        str_to_path(orig): (tuple(new) if new is not None else None)
-        for orig, new in d.items()
     }

@@ -19,7 +19,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from wrapmend.model import Wrapper, WrapperFormatError, wrapper_from_dict, wrapper_json
+from wrapmend.model import (
+    Wrapper,
+    WrapperFormatError,
+    wrapper_dict,
+    wrapper_from_dict,
+    wrapper_json,
+)
 
 
 class StorageError(Exception):
@@ -144,14 +150,13 @@ class WrapperStore:
         Only text that loads back is written: a wrapper whose file would
         not is refused before anything touches the store."""
         wdir = self._dir(wrapper.name)
-        text = wrapper_json(wrapper)
+        content = wrapper_json(wrapper).encode("utf-8")
         try:
-            wrapper_from_dict(json.loads(text))
+            wrapper_from_dict(wrapper_dict(content))
         except WrapperFormatError as e:
             raise StorageError(
                 "%s v%d does not load back: %s" % (wrapper.name, wrapper.version, e)
             )
-        content = text.encode("utf-8")
         wdir.mkdir(parents=True, exist_ok=True)
         lock_path = wdir / ".lock"
         with open(lock_path, "w") as lock:
@@ -225,8 +230,8 @@ class WrapperStore:
                 "digest mismatch for %s v%d" % (name, record.version)
             )
         try:
-            return wrapper_from_dict(json.loads(data.decode("utf-8")))
-        except (json.JSONDecodeError, WrapperFormatError) as e:
+            return wrapper_from_dict(wrapper_dict(data))
+        except WrapperFormatError as e:
             raise CorruptionError("unreadable content for %s v%d: %s" % (name, record.version, e))
 
     def history(self, name: str) -> list:

@@ -1,6 +1,11 @@
 """Command line surface: exit codes, documents, store wiring."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +35,9 @@ WRAPPED_HTML = (
 )
 
 EMPTY_HTML = "<html><body><p>scheduled maintenance</p></body></html>"
+
+# the original page with an e-acute in a name, in Latin-1 rather than UTF-8
+LATIN1_HTML = ORIGINAL_HTML.replace("Alpha", "Alph\xe9").encode("latin-1")
 
 
 @pytest.fixture
@@ -199,18 +207,25 @@ class TestRun:
             workdir / "wrapper.json"
         )
 
-    @pytest.mark.parametrize("change", ["nest_200_deep", "bad_pattern"])
+    @pytest.mark.parametrize(
+        "change", ["nest_200_deep", "bad_pattern", "latin1", "brackets_100000_deep"]
+    )
     def test_unloadable_wrapper_is_usage_error(self, workdir, capsys, change):
         d = json.loads((workdir / "wrapper.json").read_text())
         record = d["rules"][0]
         if change == "bad_pattern":
             record["children"][0]["constraints"][1]["pattern"] = "["
-        else:
+        elif change == "nest_200_deep":
             rule = record["children"][0]
             for _ in range(198):  # under record and its child: 200 deep
                 rule["children"] = [dict(rule, children=[])]
                 rule = rule["children"][0]
-        (workdir / "wrapper.json").write_text(json.dumps(d))
+        content = json.dumps(d).encode("utf-8")
+        if change == "latin1":
+            content = content.replace(b'"listing"', b'"list\xefng"')
+        elif change == "brackets_100000_deep":
+            content = b"[" * 100000
+        (workdir / "wrapper.json").write_bytes(content)
         rc = main(["run", str(workdir / "wrapper.json"), str(workdir / "original.html")])
         assert rc == 2
         assert "cannot load wrapper" in capsys.readouterr().err
@@ -225,6 +240,39 @@ class TestRun:
             ]
         )
         assert rc == 2
+
+    def test_commit_without_store_refused_before_running(self, workdir, capsys):
+        # a clean run would repair nothing, so nothing would be committed
+        page = str(workdir / "original.html")
+        rc = main(["run", str(workdir / "wrapper.json"), page, "--commit"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert "--commit needs --store" in err
+
+    def test_latin1_page_runs(self, workdir, capsys):
+        page = workdir / "latin1.html"
+        page.write_bytes(LATIN1_HTML)
+        rc, doc = run_json(capsys, ["run", str(workdir / "wrapper.json"), str(page)])
+        # the name pattern refuses U+FFFD, and the repair finds no other name
+        assert (rc, doc["status"]) == (20, "failed")
+        texts = [
+            cm["text"]
+            for r in doc["results"]
+            for m in r["matches"]
+            for c in m["children"]
+            for cm in c["matches"]
+        ]
+        assert texts == ["10.00", "Beta", "20.00"]
+
+    def test_unwritable_out_is_usage_error(self, workdir, capsys):
+        out = workdir / "no-such-dir" / "run.json"
+        rc = main(
+            ["run", str(workdir / "wrapper.json"), str(workdir / "original.html"),
+             "--out", str(out)]
+        )
+        assert rc == 2
+        assert "cannot write" in capsys.readouterr().err
 
 
 class TestMutate:
@@ -301,6 +349,21 @@ class TestMutate:
     def test_missing_page_is_usage_error(self, workdir, capsys):
         assert main(["mutate", str(workdir / "nope.html")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--out", "--truth"])
+    def test_unwritable_output_is_usage_error(self, workdir, capsys, flag):
+        target = workdir / "no-such-dir" / "file"
+        rc = main(["mutate", str(workdir / "original.html"), flag, str(target)])
+        assert rc == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_latin1_page(self, workdir, capsys):
+        page = workdir / "latin1.html"
+        page.write_bytes(LATIN1_HTML)
+        rc = main(["mutate", str(page), "--rate", "0"])
+        assert rc == 0
+        mutated = (workdir / "latin1.mutated.html").read_bytes()
+        assert "Alph\ufffd".encode("utf-8") in mutated
+
     def test_page_nested_1200_deep(self, workdir, capsys):
         page = workdir / "deep.html"
         page.write_text(deep_page(1200))
@@ -368,6 +431,26 @@ class TestEval:
         empty.mkdir()
         assert main(["eval", str(empty)]) == 2
 
+    def test_latin1_page_in_case(self, corpus, tmp_path, capsys):
+        root = shutil.copytree(corpus, tmp_path / "corpus")
+        page = root / "relabel" / "case00" / "mutated.html"
+        page.write_bytes(page.read_bytes() + b"<!-- caf\xe9 -->\n")
+        rc, doc = run_json(capsys, ["--format", "json", "eval", str(root)])
+        assert rc == 0
+        assert doc["overall"]["f1"] == 100.0
+
+    def test_malformed_case_is_usage_error(self, corpus, tmp_path, capsys):
+        root = shutil.copytree(corpus, tmp_path / "corpus")
+        path = root / "wrapped" / "case00" / "wrapper.json"
+        d = json.loads(path.read_bytes())
+        del d["version"]
+        path.write_text(json.dumps(d), encoding="utf-8")
+        rc = main(["eval", str(root)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(root / "wrapped" / "case00") in err
+        assert "version" in err
+
 
 class TestHistory:
     def test_lists_versions(self, workdir, capsys):
@@ -406,3 +489,52 @@ class TestHistory:
         store = workdir / "store"
         store.mkdir()
         assert main(["--store", str(store), "history", "ghost"]) == 2
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_in_locale(locale_env: dict, *argv, cwd):
+    """Run python with argv under locale_env; returns stdout bytes."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIO"))}
+    env.update(locale_env, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, cwd=cwd, env=env
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    return proc.stdout
+
+
+def tree_bytes(root: Path) -> dict:
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def test_ascii_locale_writes_what_a_utf8_locale_writes(tmp_path):
+    """Every file wrapmend reads and writes is UTF-8 whatever the locale:
+    build, mutate and eval under the C locale with Python's UTF-8 mode off
+    give the bytes they give in UTF-8 mode."""
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    utf8_locale = {"LC_ALL": "C", "PYTHONUTF8": "1"}
+    written = []
+    for name, locale_env in (("ascii", ascii_locale), ("utf8", utf8_locale)):
+        work = tmp_path / name
+        work.mkdir()
+        (work / "page.html").write_bytes(
+            ORIGINAL_HTML.replace("Alpha", "Caf\xe9").encode("utf-8")
+        )
+        outputs = [
+            run_in_locale(locale_env, "-m", "wrapmend.corpus", "--out", "corpus",
+                          "--cases", "1", cwd=work),
+            run_in_locale(locale_env, "-m", "wrapmend", "--seed", "3", "mutate",
+                          "page.html", "--rate", "0.5", cwd=work),
+            run_in_locale(locale_env, "-m", "wrapmend", "eval", "corpus", cwd=work),
+        ]
+        written.append((outputs, tree_bytes(work)))
+    (ascii_out, ascii_files), (utf8_out, utf8_files) = written
+    assert ascii_out == utf8_out
+    assert ascii_files == utf8_files
+    assert "Caf\xe9".encode("utf-8") in ascii_files["page.mutated.html"]

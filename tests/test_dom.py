@@ -19,6 +19,7 @@ from wrapmend.dom import (
     enumerate_subtrees,
     parse_html,
     parse_snippet,
+    read_page,
     resolve,
     serialize,
     subtree_size,
@@ -159,6 +160,18 @@ class TestParse:
         tree = parse_html(b"<p>caf\xc3\xa9</p>", source_id="page-1")
         assert tree.root.children[0].text == "café"
         assert tree.source_id == "page-1"
+
+    def test_read_page_decodes_any_bytes(self, tmp_path):
+        # Latin-1 bytes become U+FFFD; CRLF and a lone CR become newlines
+        raw = b'<p title="a\r\nb\rc">caf\xe9</p>'
+        path = tmp_path / "page.html"
+        path.write_bytes(raw)
+        tree = read_page(path, source_id="page")
+        p = tree.root.children[0]
+        assert p.text == "caf\ufffd"
+        assert p.attributes["title"] == "a\nb\nc"
+        assert tree.source_id == "page"
+        assert serialize(tree) == serialize(parse_html(raw))
 
     def test_node_count_counts_elements_only(self):
         # synthesized html root + div + two spans; text segments are not nodes

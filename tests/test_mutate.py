@@ -16,9 +16,6 @@ from wrapmend.mutate import (
     OPERATIONS,
     MutationSpec,
     mutate_tree,
-    path_to_str,
-    str_to_path,
-    truth_from_jsonable,
     truth_to_jsonable,
 )
 
@@ -46,10 +43,6 @@ class TestSpec:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             MutationSpec(rate=1.5)
-
-    def test_dict_round_trip(self):
-        spec = MutationSpec(operations=("delete_region",), seed=7, rate=0.25)
-        assert MutationSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestDeterminism:
@@ -235,16 +228,6 @@ class TestTruthValidity:
         tree = page()
         _, truth = mutate_tree(tree, MutationSpec(seed=9, rate=1.0))
         assert set(truth) == {p for p, _ in _all_paths(tree)}
-
-
-class TestJsonEncoding:
-    def test_path_string_round_trip(self):
-        for p in ((), (0,), (1, 2, 3)):
-            assert str_to_path(path_to_str(p)) == p
-
-    def test_truth_jsonable_round_trip(self):
-        truth = {(): (), (0, 1): (0, 2), (0, 3): None}
-        assert truth_from_jsonable(truth_to_jsonable(truth)) == truth
 
 
 GOLDEN_PATH = Path(__file__).with_name("golden_mutations.json")

@@ -31,6 +31,15 @@ def bump(wrapper, version):
     )
 
 
+def rewrite_content(wdir, content: bytes) -> None:
+    """Replace v1.json by a hand edit that keeps content and log agreeing,
+    so only the reader can catch what the edit broke."""
+    (wdir / "v1.json").write_bytes(content)
+    record = json.loads((wdir / "log.jsonl").read_text())
+    record["content_digest"] = hashlib.sha256(content).hexdigest()
+    (wdir / "log.jsonl").write_text(json.dumps(record, sort_keys=True) + "\n")
+
+
 class TestCommitCheckout:
     def test_round_trip(self, tmp_path, rng):
         store = WrapperStore(tmp_path)
@@ -189,16 +198,20 @@ class TestRepeatedCheckout:
         wdir = tmp_path / "shop"
         d = json.loads((wdir / "v1.json").read_bytes())
         d["surprise"] = True
-        content = (json.dumps(d, indent=2, sort_keys=True) + "\n").encode("utf-8")
-        digest = hashlib.sha256(content).hexdigest()
-        # content and log agree, so only the schema can catch it
-        (wdir / "v1.json").write_bytes(content)
-        record = json.loads((wdir / "log.jsonl").read_text())
-        record["content_digest"] = digest
-        (wdir / "log.jsonl").write_text(json.dumps(record, sort_keys=True) + "\n")
+        rewrite_content(wdir, (json.dumps(d, indent=2, sort_keys=True) + "\n").encode())
         for _ in range(3):
             with pytest.raises(CorruptionError, match="schema violation"):
                 store.checkout("shop")
+
+    def test_non_utf8_content_is_corruption(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        store.commit(random_wrapper(rng, name="shop"))
+        wdir = tmp_path / "shop"
+        # a Latin-1 hand edit of the name
+        content = (wdir / "v1.json").read_bytes().replace(b'"shop"', b'"sh\xe9p"')
+        rewrite_content(wdir, content)
+        with pytest.raises(CorruptionError, match="not UTF-8 JSON"):
+            store.checkout("shop")
 
 
 class TestWritesOnlyWhatReadsBack:
@@ -230,12 +243,7 @@ class TestWritesOnlyWhatReadsBack:
         wdir = tmp_path / "shop"
         d = json.loads((wdir / "v1.json").read_bytes())
         d["constraints"] = [{"kind": "datatype", "datatype": "pattern", "pattern": "["}]
-        # a hand edit that keeps content and log agreeing
-        content = (json.dumps(d, indent=2, sort_keys=True) + "\n").encode("utf-8")
-        (wdir / "v1.json").write_bytes(content)
-        record = json.loads((wdir / "log.jsonl").read_text())
-        record["content_digest"] = hashlib.sha256(content).hexdigest()
-        (wdir / "log.jsonl").write_text(json.dumps(record, sort_keys=True) + "\n")
+        rewrite_content(wdir, (json.dumps(d, indent=2, sort_keys=True) + "\n").encode())
         with pytest.raises(CorruptionError, match="bad pattern"):
             store.checkout("shop")
 
