@@ -37,6 +37,7 @@ from wrapmend.engine import (
     Unsatisfiable,
     adapt_rule,
     execute_wrapper,
+    page_status,
     threshold_search,
 )
 from wrapmend.matching import (
@@ -65,9 +66,11 @@ from wrapmend.repo import (
     ConflictError,
     CorruptionError,
     NotFoundError,
+    Snapshot,
     StorageError,
     VersionRecord,
     WrapperStore,
+    run_snapshot,
 )
 from wrapmend.template import (
     GeneralizeError,

@@ -6,9 +6,11 @@ produces a deterministically damaged copy of a page plus its ground
 truth, `eval` scores a generated corpus, `history` lists a wrapper's
 stored versions.
 
-Exit codes: 0 when a run produced data (whether or not self-repair was
-needed; the emitted document's `status` field says which), 20 when
-extraction failed outright, 2 for usage errors and unreadable input.
+Exit codes: `run` exits 20 when the page status (engine.page_status)
+is "failed": any result at any depth failed, even if other rules
+produced data.  Otherwise it exits 0, whether the status is "ok" or
+"adapted".  Every command exits 2 for usage errors, unreadable input
+and a failed commit.  Text goes to stdout as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from dataclasses import replace
 
 from .corpus import DEFAULT_RATE, CaseError, evaluate_corpus, flatten_results, with_algorithm
 from .dom import read_page, serialize
-from .engine import ExecutionContext, execute_wrapper
+from .engine import ExecutionContext
 from .metrics import eval_table
 from .model import WrapperFormatError, load_wrapper
 from .mutate import OPERATIONS, MutationSpec, mutate_tree, truth_to_jsonable
-from .repo import NotFoundError, StorageError, WrapperStore
+from .repo import StorageError, WrapperStore, run_snapshot
 
 EXIT_OK = 0
 EXIT_FAILED = 20
@@ -39,38 +41,6 @@ def _usage(msg: str) -> int:
 
 def _dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _overall_status(results, new_wrapper) -> str:
-    seen = set()
-
-    def walk(rs):
-        for r in rs:
-            seen.add(r.status)
-            for kids in r.children:
-                walk(kids)
-
-    walk(results)
-    if "failed" in seen:
-        return "failed"
-    if new_wrapper is not None or "adapted" in seen:
-        return "adapted"
-    return "ok"
-
-
-def _delta_line(report) -> str:
-    # config_delta carries full before/after summaries; only the keys that
-    # moved are worth a line in the version log
-    before = report.config_delta.get("before", {})
-    after = report.config_delta.get("after", {})
-    bits = [
-        "%s: %s -> %s" % (k, before.get(k), after.get(k))
-        for k in sorted(set(before) | set(after))
-        if before.get(k) != after.get(k)
-    ]
-    if report.template_action != "none":
-        bits.append("template %s" % report.template_action)
-    return "; ".join(bits) or "no config change"
 
 
 def cmd_run(args) -> int:
@@ -90,36 +60,20 @@ def cmd_run(args) -> int:
     if args.no_adapt:
         wrapper = wrapper.map_rules(lambda _, rule: replace(rule, adaptation=None))
 
-    results, reports, new_wrapper = execute_wrapper(
-        wrapper, ExecutionContext(pages=tuple(pages))
-    )
-    status = _overall_status(results, new_wrapper)
-
-    committed = None
-    if args.commit and new_wrapper is not None:
-        store = WrapperStore(args.store)
-        summary = tuple(
-            (r.rule_name, r.trigger, _delta_line(r)) for r in reports if r.succeeded
-        )
-        try:
-            try:
-                store.history(new_wrapper.name)
-            except NotFoundError:
-                # first contact with this store: seed the chain with the
-                # version that just ran, then commit its successor
-                store.commit(wrapper, summary=(("*", "import", "seeded from file"),))
-            committed = store.commit(new_wrapper, summary=summary).version
-        except StorageError as e:
-            return _usage("commit failed: %s" % e)
+    try:
+        store = WrapperStore(args.store) if args.commit else None
+        snap = run_snapshot(wrapper, ExecutionContext(pages=tuple(pages)), store)
+    except (OSError, StorageError) as e:
+        return _usage("commit failed: %s" % e)
 
     doc = {
         "wrapper": wrapper.name,
         "version": wrapper.version,
-        "status": status,
-        "results": [r.to_dict() for r in results],
-        "reports": [r.to_dict() for r in reports],
-        "new_version": new_wrapper.version if new_wrapper is not None else None,
-        "committed": committed,
+        "status": snap.status,
+        "results": [r.to_dict() for r in snap.results],
+        "reports": [r.to_dict() for r in snap.reports],
+        "new_version": snap.new_wrapper.version if snap.new_wrapper is not None else None,
+        "committed": snap.committed,
     }
     text = _dumps(doc)
     if args.out:
@@ -132,22 +86,17 @@ def cmd_run(args) -> int:
         if not args.out:
             print(text)
     else:
-        print("%s v%d: %s" % (wrapper.name, wrapper.version, status))
-        matches = sum(len(paths) for paths in flatten_results(results).values())
-        print("matches: %d  repairs: %d" % (matches, len(reports)))
-        for r in reports:
+        print("%s v%d: %s" % (wrapper.name, wrapper.version, snap.status))
+        matches = sum(len(paths) for paths in flatten_results(snap.results).values())
+        print("matches: %d  repairs: %d" % (matches, len(snap.reports)))
+        for r in snap.reports:
             print(
                 "  %s [%s] %s: %s"
-                % (
-                    r.rule_name,
-                    r.trigger,
-                    "ok" if r.succeeded else "failed",
-                    _delta_line(r),
-                )
+                % (r.rule_name, r.trigger, "ok" if r.succeeded else "failed", r.delta_line())
             )
-        if committed is not None:
-            print("committed v%d" % committed)
-    return EXIT_FAILED if status == "failed" else EXIT_OK
+        if snap.committed is not None:
+            print("committed v%d" % snap.committed)
+    return EXIT_FAILED if snap.status == "failed" else EXIT_OK
 
 
 def cmd_mutate(args) -> int:
@@ -304,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    sys.stdout.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -134,6 +134,36 @@ class AdaptationReport:
             "notes": list(self.notes),
         }
 
+    def delta_line(self) -> str:
+        """A version-log line: the config keys that moved, and the template action."""
+        before = self.config_delta.get("before", {})
+        after = self.config_delta.get("after", {})
+        bits = [
+            "%s: %s -> %s" % (k, before.get(k), after.get(k))
+            for k in sorted(set(before) | set(after))
+            if before.get(k) != after.get(k)
+        ]
+        if self.template_action != "none":
+            bits.append("template %s" % self.template_action)
+        return "; ".join(bits) or "no config change"
+
+
+def page_status(results, new_wrapper) -> str:
+    """A run's status: "failed" when any result at any depth failed, even
+    if other rules produced data; "adapted" when a result was repaired or
+    the wrapper changed; "ok" otherwise.  `wrapmend run` exits 20 on "failed"."""
+    seen = set()
+    stack = list(results)
+    while stack:
+        r = stack.pop()
+        seen.add(r.status)
+        stack.extend(kid for kids in r.children for kid in kids)
+    if "failed" in seen:
+        return "failed"
+    if new_wrapper is not None or "adapted" in seen:
+        return "adapted"
+    return "ok"
+
 
 def threshold_search(scores, threshold, accept):
     """Highest threshold that `accept` takes.  Candidates are the distinct
@@ -164,13 +194,15 @@ def adapt_rule(
     *,
     clock=None,
     constraints=None,
-    context_paths=None,
+    context_paths=(None,),
     trigger: str = "constraint_violation",
     force: bool = False,
     rule_path: Optional[str] = None,
 ):
     """Run the repair pipeline for one rule on one page.  clock, when
     given, returns the ISO timestamp a new stored example records.
+    context_paths are the parent matches to search under; None stands
+    for the whole document.
     Returns (new rule, report); the rule comes back identical when a
     template rescue sufficed.  Raises AdaptationFailed when nothing in
     the allowed threshold range satisfies the constraints."""
@@ -193,12 +225,8 @@ def adapt_rule(
         raise failure(["rule has no adaptation config"])
     if constraints is None:
         constraints = rule.constraints
-    ctxs = None
-    if context_paths is not None:
-        ctxs = [tuple(c) for c in context_paths if c is not None]
-        if len(ctxs) != len(list(context_paths)):
-            ctxs = None  # a document context admits everything
-    parents = len(ctxs) if ctxs is not None else 1
+    ctxs = [None if c is None else tuple(c) for c in context_paths]
+    parents = len(ctxs)
     # bounds hold per context, and admit counts the results of all contexts
     card = [
         CardinalityConstraint(
@@ -213,7 +241,7 @@ def adapt_rule(
     residual = stored.residual_path if stored is not None else ()
 
     def within(path) -> bool:
-        return ctxs is None or any(inside(path, c) for c in ctxs)
+        return any(inside(path, c) for c in ctxs)
 
     def admit(paths):
         """(path, target, node) for every path whose residual resolves,
@@ -319,11 +347,8 @@ def adapt_rule(
                 else datetime.now(timezone.utc).isoformat(timespec="seconds")
             ),
         )
-        plan_context = None
-        plan_targets = targets
-        if ctxs is not None:
-            plan_context = next(c for c in ctxs if inside(top_target, c))
-            plan_targets = [t for t in targets if inside(t, plan_context)]
+        plan_context = next(c for c in ctxs if inside(top_target, c))
+        plan_targets = [t for t in targets if inside(t, plan_context)]
         try:
             new_plan = generate_plan(
                 page,

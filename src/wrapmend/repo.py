@@ -1,4 +1,4 @@
-"""Versioned wrapper persistence.
+"""Versioned wrapper persistence, and the operator loop over it.
 
 Layout: one directory per wrapper name holding v<N>.json content files
 plus an append-only log.jsonl of version records.  The log is the source
@@ -19,6 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
+from wrapmend.engine import ExecutionContext, execute_wrapper, page_status
 from wrapmend.model import (
     Wrapper,
     WrapperFormatError,
@@ -104,8 +105,12 @@ class WrapperStore:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _dir(self, name: str) -> Path:
-        if not name or name in (".", "..") or "/" in name or os.sep in name:
+        if not name or name in (".", "..") or "/" in name or os.sep in name or "\0" in name:
             raise StorageError("bad wrapper name %r" % (name,))
+        try:
+            os.fsencode(name)
+        except UnicodeEncodeError:
+            raise StorageError("wrapper name %r is not in the file system's encoding" % (name,))
         return self.root / name
 
     def _scan_log(self, name: str):
@@ -244,3 +249,32 @@ class WrapperStore:
         return sorted(
             p.name for p in self.root.iterdir() if (p / "log.jsonl").exists()
         )
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    results: list
+    reports: list
+    new_wrapper: Optional[Wrapper]  # None when nothing was repaired
+    status: str  # engine.page_status
+    committed: Optional[int]  # the version written to the store, if any
+
+
+def run_snapshot(wrapper: Wrapper, ctx: ExecutionContext, store=None) -> Snapshot:
+    """One step of the operator loop: run wrapper over the bundle and,
+    given a store, commit a repaired wrapper as the next version, one
+    summary line per successful repair.  A store that does not hold the
+    name yet is first seeded with the wrapper that ran.  ctx.clock, when
+    set, stamps the commits.  A failed commit raises StorageError."""
+    results, reports, new_wrapper = execute_wrapper(wrapper, ctx)
+    committed = None
+    if store is not None and new_wrapper is not None:
+        stamp = ctx.clock() if ctx.clock is not None else None
+        try:
+            store.history(wrapper.name)
+        except NotFoundError:
+            store.commit(wrapper, summary=(("*", "import", "seeded from file"),), timestamp=stamp)
+        summary = [(r.rule_name, r.trigger, r.delta_line()) for r in reports if r.succeeded]
+        committed = store.commit(new_wrapper, summary=summary, timestamp=stamp).version
+    status = page_status(results, new_wrapper)
+    return Snapshot(results, reports, new_wrapper, status, committed)

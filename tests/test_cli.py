@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,15 @@ class TestRun:
         assert WrapperStore(store).checkout("listing") == load_wrapper(
             workdir / "wrapper.json"
         )
+
+    def test_store_that_cannot_be_a_directory_fails_the_commit(self, workdir, capsys):
+        (workdir / "afile").write_text("")
+        store = workdir / "afile" / "store"
+        for page in ("original.html", "mutated.html"):
+            argv = ["--store", str(store), "run", str(workdir / "wrapper.json")]
+            rc = main(argv + [str(workdir / page), "--commit"])
+            assert rc == 2
+            assert "commit failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "change", ["nest_200_deep", "bad_pattern", "latin1", "brackets_100000_deep"]
@@ -494,15 +504,26 @@ class TestHistory:
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_in_locale(locale_env: dict, *argv, cwd):
-    """Run python with argv under locale_env; returns stdout bytes."""
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def python_in_locale(locale_env: dict, *argv, cwd) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIO"))}
     env.update(locale_env, PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, *argv], capture_output=True, cwd=cwd, env=env
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, cwd=cwd, env=env)
+
+
+def run_in_locale(locale_env: dict, *argv, cwd):
+    """Run python with argv under locale_env; returns stdout bytes."""
+    proc = python_in_locale(locale_env, *argv, cwd=cwd)
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
     return proc.stdout
+
+
+def save_cafe_wrapper(path: Path) -> None:
+    """The test pages' wrapper, named with a non-ASCII letter."""
+    wrapper = author_wrapper(parse_html(ORIGINAL_HTML, source_id="original"))
+    save_wrapper(replace(wrapper, name="caf\xe9"), path)
 
 
 def tree_bytes(root: Path) -> dict:
@@ -515,26 +536,45 @@ def tree_bytes(root: Path) -> dict:
 
 def test_ascii_locale_writes_what_a_utf8_locale_writes(tmp_path):
     """Every file wrapmend reads and writes is UTF-8 whatever the locale:
-    build, mutate and eval under the C locale with Python's UTF-8 mode off
-    give the bytes they give in UTF-8 mode."""
-    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    build, mutate, eval and a table-format run under the C locale with
+    Python's UTF-8 mode off give the bytes they give in UTF-8 mode."""
     utf8_locale = {"LC_ALL": "C", "PYTHONUTF8": "1"}
     written = []
-    for name, locale_env in (("ascii", ascii_locale), ("utf8", utf8_locale)):
+    for name, locale_env in (("ascii", ASCII_LOCALE), ("utf8", utf8_locale)):
         work = tmp_path / name
         work.mkdir()
         (work / "page.html").write_bytes(
             ORIGINAL_HTML.replace("Alpha", "Caf\xe9").encode("utf-8")
         )
+        (work / "original.html").write_text(ORIGINAL_HTML)
+        save_cafe_wrapper(work / "wrapper.json")
         outputs = [
             run_in_locale(locale_env, "-m", "wrapmend.corpus", "--out", "corpus",
                           "--cases", "1", cwd=work),
             run_in_locale(locale_env, "-m", "wrapmend", "--seed", "3", "mutate",
                           "page.html", "--rate", "0.5", cwd=work),
             run_in_locale(locale_env, "-m", "wrapmend", "eval", "corpus", cwd=work),
+            run_in_locale(locale_env, "-m", "wrapmend", "--format", "table", "run",
+                          "wrapper.json", "original.html", cwd=work),
         ]
         written.append((outputs, tree_bytes(work)))
     (ascii_out, ascii_files), (utf8_out, utf8_files) = written
     assert ascii_out == utf8_out
     assert ascii_files == utf8_files
     assert "Caf\xe9".encode("utf-8") in ascii_files["page.mutated.html"]
+    assert ascii_out[-1].startswith("caf\xe9 v1: ok\n".encode("utf-8"))
+
+
+def test_name_the_file_system_cannot_encode_fails_the_commit(tmp_path):
+    """Under an ASCII file system encoding a store cannot hold a wrapper
+    named caf\xe9: the commit is refused as a usage error, not a crash."""
+    save_cafe_wrapper(tmp_path / "wrapper.json")
+    (tmp_path / "mutated.html").write_text(WRAPPED_HTML)
+    proc = python_in_locale(
+        ASCII_LOCALE, "-m", "wrapmend", "--store", "st", "run", "wrapper.json",
+        "mutated.html", "--commit", cwd=tmp_path,
+    )
+    err = proc.stderr.decode("utf-8", "replace")
+    assert proc.returncode == 2, err
+    assert "commit failed" in err
+    assert "Traceback" not in err

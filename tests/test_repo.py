@@ -8,8 +8,11 @@ import pytest
 
 import wrapmend.repo as repo
 from conftest import random_wrapper
+from test_cli import ORIGINAL_HTML, WRAPPED_HTML
 from test_model import unloadable_wrapper
-from wrapmend.dom import DomNode
+from wrapmend.corpus import author_wrapper
+from wrapmend.dom import DomNode, parse_html
+from wrapmend.engine import ExecutionContext
 from wrapmend.model import Wrapper
 from wrapmend.repo import (
     ConflictError,
@@ -18,6 +21,7 @@ from wrapmend.repo import (
     StorageError,
     VersionRecord,
     WrapperStore,
+    run_snapshot,
 )
 from wrapmend.xpath import FallbackPlan, parse_xpath
 
@@ -92,6 +96,13 @@ class TestCommitCheckout:
         store = WrapperStore(tmp_path)
         with pytest.raises(StorageError):
             store.checkout("../escape")
+
+    def test_name_with_nul_rejected(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        with pytest.raises(StorageError):
+            store.commit(random_wrapper(rng, name="a\0b"))
+        with pytest.raises(StorageError):
+            store.history("a\0b")
 
 
 class TestHistory:
@@ -358,3 +369,49 @@ class TestMany:
             store.commit(w)
             assert store.checkout(w.name) == w
         assert len(store.names()) == 30
+
+
+STAMP = "2026-01-01T00:00:00+00:00"
+
+
+def snapshot(html: str) -> ExecutionContext:
+    return ExecutionContext(pages=(parse_html(html, source_id="snap"),), clock=lambda: STAMP)
+
+
+class TestRunSnapshot:
+    def test_three_snapshot_stream(self, tmp_path):
+        store = WrapperStore(tmp_path)
+        authored = author_wrapper(parse_html(ORIGINAL_HTML))
+
+        first = run_snapshot(authored, snapshot(ORIGINAL_HTML), store)
+        assert (first.status, first.new_wrapper, first.committed) == ("ok", None, None)
+        assert store.names() == []
+
+        second = run_snapshot(authored, snapshot(WRAPPED_HTML), store)
+        assert (second.status, second.committed) == ("adapted", 2)
+        seed, repaired = store.history("listing")
+        assert (seed.version, repaired.version) == (1, 2)
+        assert seed.timestamp == repaired.timestamp == STAMP
+        assert seed.change_summary == (("*", "import", "seeded from file"),)
+        assert repaired.change_summary == tuple(
+            (r.rule_name, r.trigger, r.delta_line()) for r in second.reports if r.succeeded
+        )
+        assert store.checkout("listing", 1) == authored
+        assert store.checkout("listing", 2) == second.new_wrapper
+
+        latest = store.checkout("listing")
+        third = run_snapshot(latest, snapshot(WRAPPED_HTML), store)
+        assert (latest.version, third.status, third.committed) == (2, "ok", None)
+        assert third.reports == []
+        assert [r.version for r in store.history("listing")] == [1, 2]
+
+    def test_without_a_store_nothing_is_stored(self, monkeypatch):
+        def touched(*args, **kwargs):
+            raise AssertionError("a store was used")
+
+        monkeypatch.setattr(WrapperStore, "commit", touched)
+        monkeypatch.setattr(WrapperStore, "_scan_log", touched)
+        authored = author_wrapper(parse_html(ORIGINAL_HTML))
+        snap = run_snapshot(authored, snapshot(WRAPPED_HTML))
+        assert (snap.status, snap.committed) == ("adapted", None)
+        assert snap.new_wrapper.version == 2

@@ -1,7 +1,9 @@
 """The benchmark's tracer (perfbench/tracing.py) times a layer by rebinding
 the module global through which the layer above calls it.  A refactor
 that renames or bypasses such a call site would leave its span silently
-at zero; these tests fail instead."""
+at zero; these tests fail instead.  The benchmark also keeps its own copy
+of the page-status rule (perfbench/workloads.py), which must agree with
+the library's."""
 
 import importlib
 import importlib.util
@@ -10,18 +12,23 @@ import random
 
 import wrapmend.engine
 import wrapmend.xpath
-from wrapmend.corpus import author_wrapper, generate_page
+from wrapmend.corpus import SCENARIOS, author_wrapper, generate_page
 from wrapmend.dom import parse_html
-from wrapmend.engine import ExecutionContext, execute_wrapper
+from wrapmend.engine import ExecutionContext, execute_wrapper, page_status
+from wrapmend.mutate import MutationSpec, mutate_tree
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def call_sites():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.CALL_SITES
+    return perfbench_module("tracing").CALL_SITES
 
 
 def test_every_call_site_exists():
@@ -57,3 +64,20 @@ def test_accept_path_calls_through_the_traced_names(monkeypatch):
     assert len(answered) == 1 + 2 * n
     assert all(used == best for used, best in answered)
     assert len(validated) == 1 + 2 * n
+
+
+def test_benchmark_status_rule_is_the_library_rule():
+    overall_status = perfbench_module("workloads").overall_status
+    seen = set()
+    for seed in range(3):
+        page = parse_html(generate_page(random.Random(seed)))
+        wrapper = author_wrapper(page)
+        for _, operations in SCENARIOS:
+            spec = MutationSpec(operations=operations, seed=seed, rate=0.3)
+            results, _, new_wrapper = execute_wrapper(
+                wrapper, ExecutionContext(pages=(mutate_tree(page, spec)[0],))
+            )
+            status = page_status(results, new_wrapper)
+            assert overall_status(results, new_wrapper) == status
+            seen.add(status)
+    assert seen == {"ok", "adapted", "failed"}
