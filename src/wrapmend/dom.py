@@ -6,13 +6,22 @@ produce *some* stable tree for all of them.  Recovery follows the common
 browser conventions (void elements, implied end tags, synthesized html
 root) without attempting full spec-grade tree construction.
 
-Markup is read by a regex tokenizer while it stays inside a strict subset:
-text without "<", start tags whose attributes are all name="value" (no
-"<" in the value), and end tags.  That covers what serialize writes,
-script and style aside, and what corpus.generate_page writes.  From the
-first markup outside the subset, or from a script or style start tag,
-html.parser reads the rest of the page.  Both readers feed the same
-tree-building handlers, so they build the same tree.
+Markup is read by a fast loop while it stays inside a strict subset: text
+without "<", start tags whose attributes are all name="value" (no "<" in
+the value), and end tags.  That covers what serialize writes, script and
+style aside, and what corpus.generate_page writes.  No token of the
+subset holds "<", so the loop splits the source once at "<": each piece
+is one tag and the text up to the next tag.  A listing repeats a few
+tag texts hundreds of times, so the loop reads each distinct tag text
+(the piece up to its first ">") once per page with the _TAG regex and
+memoizes the finished token; a value holding ">" is read again each
+time.  From the first piece outside the subset, or from a script or
+style start tag, html.parser reads the rest of the page.
+
+The loop inlines the tree-building rules of the handlers that
+html.parser calls, so the two must build the same tree.  The
+differential test against html.parser alone (tests/test_dom.py,
+TestTokenizer) is the gate for that.
 
 Only elements become nodes.  Text is attached to its owning element with
 runs of whitespace collapsed, so that parse -> serialize -> parse is a
@@ -76,15 +85,33 @@ for _tag in _P_CLOSERS:
 # The tokenizer's subset.  Names take the characters of html.parser's
 # end-tag pattern.  Whitespace is the five characters html.parser ends a
 # tag name on: \s would also take \v and Unicode spaces, which html.parser
-# reads as part of the name.
+# reads as part of the name.  _TAG reads one piece of the source split at
+# "<", from just after the "<".
 _WS = r"[ \t\n\r\f]"
 _NAME = "[a-zA-Z][-.a-zA-Z0-9:_]*"
-_TOKEN = re.compile(
-    "([^<]+)"  # 1: text
-    '|<(%s)((?:%s+%s="[^"<]*")*)%s*(/?)>'  # 2: tag, 3: attributes, 4: "/"
-    "|</(%s)%s*>" % (_NAME, _WS, _NAME, _WS, _NAME, _WS)  # 5: end tag
+_TAG = re.compile(
+    '(%s)((?:%s+%s="[^"<]*")*)%s*(/?)>'  # 1: start tag, 2: attributes, 3: "/"
+    "|/(%s)%s*>" % (_NAME, _WS, _NAME, _WS, _NAME, _WS)  # 4: end tag
 )
 _ATTR = re.compile('%s+(%s)="([^"<]*)"' % (_WS, _NAME))
+
+
+def _token(m):
+    """A _TAG match as the builder applies it: (end tag?, name, attributes,
+    closers, opens?), names lowercased and values unescaped as from
+    html.parser.  A start tag opens an element unless it is void or ends
+    in "/>".  None for a raw-text start tag."""
+    name, attrs, slash, end_name = m.groups()
+    if end_name:
+        return True, end_name.lower(), None, None, False
+    tag = name.lower()
+    if tag in RAWTEXT_ELEMENTS:
+        return None
+    attributes = {}
+    for n, v in _ATTR.findall(attrs):
+        attributes.setdefault(n.lower(), unescape(v))  # first occurrence wins
+    opens = not slash and tag not in VOID_ELEMENTS
+    return False, tag, attributes, CLOSES_ON_START.get(tag), opens
 
 
 def _collapse_ws(s: str) -> str:
@@ -165,10 +192,10 @@ class DomTree:
 
 
 class _TreeBuilder(HTMLParser):
-    """Builds the tree from tokens.  `parse` reads what it can with
-    `_TOKEN` and leaves the rest to html.parser.  The tree-building rules
-    live only in the handlers, which both readers call with tag and
-    attribute names lowercased."""
+    """Builds the tree from tokens.  `parse` reads what it can itself and
+    leaves the rest to html.parser, which calls the handlers with tag and
+    attribute names lowercased.  `parse` applies the handlers' rules
+    inline, so a change to one is a change to both."""
 
     def __init__(self):
         super().__init__(convert_charrefs=True)
@@ -179,39 +206,66 @@ class _TreeBuilder(HTMLParser):
 
     def parse(self, source: str) -> None:
         """Read a whole document and close it."""
-        m = None
-        for m in iter(_TOKEN.scanner(source).match, None):
-            kind = m.lastindex
-            if kind == 1:
-                text = m.group(1)
-                self.handle_data(unescape(text) if "&" in text else text)
-            elif kind == 5:
-                self.handle_endtag(m.group(5).lower())
+        pieces = source.split("<")
+        stack = self.stack
+        push, pop = stack.append, stack.pop
+        match = _TAG.match
+        count = self.count
+        # raw tag text -> _token(m), for this page only.  Attribute values
+        # pair the quotes of a tag text in order, so a match that ends at
+        # the text's first ">" ends there whatever follows it.
+        memo = {}
+        last = len(pieces)
+        text = pieces[0]
+        for i in range(1, last + 1):
+            if text:
+                if "&" in text:
+                    text = unescape(text)
+                seg = _collapse_ws(text)
+                if seg:
+                    node = stack[-1]
+                    node.text = node.text + " " + seg if node.text else seg
+            if i == last:
+                break
+            piece = pieces[i]
+            end = piece.find(">")
+            token = memo.get(piece[:end]) if end >= 0 else None
+            if token is not None:
+                text = piece[end + 1 :]
             else:
-                tag, attrs, slash = m.group(2, 3, 4)
-                tag = tag.lower()
-                if tag in RAWTEXT_ELEMENTS:
-                    pos = m.start()  # raw text is html.parser's to read
-                    break
-                pairs = _ATTR.findall(attrs)
-                # names arrive lowercased and values unescaped, as from
-                # html.parser; most attributes need neither
-                if pairs and ("&" in attrs or not attrs.islower()):
-                    pairs = [(n.lower(), unescape(v)) for n, v in pairs]
-                if slash:
-                    self.handle_startendtag(tag, pairs)
+                m = match(piece)
+                token = m and _token(m)
+                if token is None:
+                    # outside the subset, or raw text: html.parser reads the
+                    # rest.  Every token so far ended outside raw text,
+                    # where html.parser keeps no state between tokens:
+                    # `rawdata` is empty and `cdata_elem` is None
+                    # (`lasttag` is written but never read).  So it reads
+                    # the rest exactly as it would have read it as part of
+                    # the whole document.
+                    self.count = count
+                    self.feed(source[len("<".join(pieces[:i])) :])
+                    self.close()
+                    return
+                if m.end() == end + 1:  # a value holding ">" is not memoized
+                    memo[piece[:end]] = token
+                text = piece[m.end() :]
+            is_end, tag, attrs, closers, opens = token
+            if is_end:
+                if stack[-1].label == tag:  # never the sentinel's "#document"
+                    pop()
                 else:
-                    self.handle_starttag(tag, pairs)
-        else:
-            pos = 0 if m is None else m.end()
-        if pos < len(source):
-            # Every token so far ended outside raw text, where html.parser
-            # keeps no state between tokens: `rawdata` is empty and
-            # `cdata_elem` is None (`lasttag` is written but never read).
-            # So it reads the rest exactly as it would have read it as
-            # part of the whole document.
-            self.feed(source[pos:])
-        self.close()
+                    self.handle_endtag(tag)
+                continue
+            if closers:
+                while len(stack) > 1 and stack[-1].label in closers:
+                    pop()
+            node = DomNode(tag, dict(attrs))  # never the memo's own dict
+            count += 1
+            stack[-1].children.append(node)
+            if opens:
+                push(node)
+        self.count = count  # html.parser was fed nothing: nothing to close
 
     def handle_starttag(self, tag, attrs):
         closers = CLOSES_ON_START.get(tag)

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import tracemalloc
 from html.parser import HTMLParser
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wrapmend import dom
 from wrapmend.corpus import author_wrapper, generate_page
 from wrapmend.dom import (
     DomNode,
@@ -28,7 +30,8 @@ from wrapmend.model import wrapper_from_dict, wrapper_json
 
 from conftest import build_node, deep_page, random_tree, scenario_pages
 
-# the malformed and edge-case sources of TestParse and TestSnippet
+# the malformed and edge-case sources of TestParse and TestSnippet, and
+# repeated tag texts that the parser's per-page memo must read right
 MALFORMED = (
     "",
     "<div>a</div><div>b</div>",
@@ -47,6 +50,9 @@ MALFORMED = (
     "<p>a &amp; b &lt;tag&gt;</p>",
     "<div></div><div></div>",
     "<td>cell</td>",
+    # the same text up to the first ">", but only the second is a whole tag
+    '<p><a title="x>y">1</a><a title="x">2</a><a title="x>y">3</a><a title="x">4</a></p>',
+    "<DIV>a<DIV>b</DIV>c</div><DIV>d</DIV>",
 )
 
 
@@ -386,11 +392,15 @@ def assert_reads_as_html_parser(source):
 # reads differently, raw text, comments, stray "<" and bare "&".  A
 # document is a run of tokens from the subset and then any tokens, so
 # that what follows the run is met by the tokenizer, not by html.parser.
+# The run is played twice, so that tokens the parser memoized on their
+# first reading meet the edge tokens after the second.  Attributes repeat
+# with different case (class, CLASS), "&" appears in names (outside the
+# subset) and in values, and "/>" closes non-void tags as well as void.
 _NAMES = (("div", "DIV", "p", "Li", "ul", "td", "TR", "table", "br", "IMG",
            "span", "b", "h1", "option", "x-Y:z.w_", "script", "Style"),
           ("x'y", "\xe9", "a\x00"))
 _ATTR_SEPS = ((" ", "\n", "\t\r", "\f "), ("\v", "\xa0", "/", ""))
-_ATTR_NAMES = (("class", "ID", "Data-X", "a:b"), ("_u", "@c", "x y", ""))
+_ATTR_NAMES = (("class", "CLASS", "ID", "Data-X", "a:b"), ("_u", "@c", "x y", "", "a&b", "&amp;"))
 _ATTR_VALUES = (('="v"', '="V w"', '=""', '="a&amp;b"', '="a&b"', '="a>b"', '="\n"'),
                 ("='v'", "=v", "", '="<"', ' = "v"', '=="v"'))
 _START_ENDS = ((">", "/>", " >", " />", "\n>"), ("\v>", "/ >", "", " "))
@@ -417,7 +427,7 @@ def _soup_token(edge):
 
 
 TAG_SOUP = st.builds(
-    lambda run, rest: "".join(run + rest),
+    lambda run, rest: "".join(run + run + rest),
     st.lists(_soup_token(edge=False), max_size=10),
     st.lists(_soup_token(edge=True), max_size=10),
 )
@@ -465,6 +475,39 @@ class TestTokenizer:
         assert wrapper_from_dict(json.loads(wrapper)).root_rules
         for source in fragments:
             parse_snippet(source)
+
+    def test_each_distinct_tag_text_is_read_once(self, monkeypatch):
+        # a listing repeats a few tag texts hundreds of times; the parser
+        # reads each once per page.  If it read every tag, parsing would
+        # still be right but much slower
+        listing = generate_page(random.Random(0))
+        calls = []
+        match = dom._TAG.match
+
+        class Counting:
+            def match(self, piece):
+                calls.append(piece)
+                return match(piece)
+
+        monkeypatch.setattr(dom, "_TAG", Counting())
+        for source in (listing, serialize(parse_html(listing))):
+            tags = re.findall("<([^<>]*)>", source)
+            assert len(set(tags)) * 4 < len(tags)
+            calls.clear()
+            assert parse_html(source).node_count == len(re.findall("<[^/]", source))
+            assert len(calls) <= len(set(tags)), (len(calls), len(set(tags)))
+
+    def test_identical_tags_get_their_own_attributes(self):
+        source = '<ul><li class="a">1</li><li class="a">2</li><li CLASS="a">3</li></ul>'
+        first = parse_html(source)
+        items = first.root.children[0].children
+        items[0].attributes["class"] = "changed"
+        items[1].attributes["id"] = "added"
+        assert items[2].attributes == {"class": "a"}
+        assert items[1].attributes == {"class": "a", "id": "added"}
+        again = parse_html(source).root.children[0].children
+        assert [li.attributes for li in again] == [{"class": "a"}] * 3
+        assert len({id(li.attributes) for li in again}) == 3
 
     def test_handover_is_used_outside_the_subset(self, monkeypatch):
         fed = []
