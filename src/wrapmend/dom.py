@@ -439,6 +439,30 @@ def inside(path: NodePath, top) -> bool:
     return top is None or path[: len(top)] == top
 
 
+class Containment:
+    """Which of a list of contexts hold a path, by `inside`: a map from
+    each context to its positions in the list, None being the document.
+    A lookup reads the path's prefix at each distinct context depth, so it
+    costs O(depth), not O(contexts)."""
+
+    def __init__(self, contexts):
+        self.positions = {}
+        for i, c in enumerate(contexts):
+            self.positions.setdefault(c, []).append(i)
+        self.depths = sorted({len(c) for c in self.positions if c is not None})
+
+    def holders(self, path: NodePath) -> list:
+        """Positions of the contexts that hold path, ascending."""
+        positions = self.positions
+        found = list(positions.get(None, ()))
+        for d in self.depths:
+            if d > len(path):
+                break
+            found += positions.get(path[:d], ())
+        found.sort()
+        return found
+
+
 def ancestor(tree, path: NodePath, levels: int):
     """Climb `levels` steps up from `path`, clamped at the root.
 

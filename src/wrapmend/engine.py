@@ -29,6 +29,15 @@ with top_down adapted, its direct children's adaptations are reported
 as top_down unless they opted out.
 The input wrapper value is never modified; accumulated rule changes
 produce a new wrapper with version + 1.
+
+A child rule repairs under every match of its parent at once, so a
+repair's bookkeeping is kept linear in those contexts: one
+dom.Containment index finds the contexts holding a path in O(depth),
+both for scoping candidates and for partitioning the admitted targets,
+and a repair resolves each candidate once whatever thresholds it tries.
+Children get their parent's nodes, not only its paths, so their plans
+resolve no context from the root; a process_flow advance looks the
+paths up again on its own page.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from wrapmend.constraints import (
     DatatypeConstraint,
     validate_results,
 )
-from wrapmend.dom import DomTree, PathError, detach_subtree, inside, resolve
+from wrapmend.dom import Containment, DomTree, PathError, detach_subtree, inside, resolve
 from wrapmend.matching import best_matches
 from wrapmend.model import MAX_NESTING, Rule, StoredExample, Wrapper
 from wrapmend.template import GeneralizeError, generalize, levels, refine, template_match
@@ -240,20 +249,27 @@ def adapt_rule(
     stored = rule.stored_example
     residual = stored.residual_path if stored is not None else ()
 
-    def within(path) -> bool:
-        return any(inside(path, c) for c in ctxs)
+    holding = Containment(ctxs)
+    # candidate path -> (path, target, node), or False when the residual
+    # does not resolve: threshold_search admits growing prefixes of one
+    # ranked list, so each path is resolved once per repair
+    landed = {}
 
     def admit(paths):
         """(path, target, node) for every path whose residual resolves,
         or None when that set breaks the constraints."""
         found = []
         for p in paths:
-            target = p + residual
-            try:
-                node = resolve(page, target)
-            except PathError:
-                continue  # matched subtree too shallow for the residual
-            found.append((p, target, node))
+            hit = landed.get(p)
+            if hit is None:
+                target = p + residual
+                try:
+                    hit = (p, target, resolve(page, target))
+                except PathError:
+                    hit = False  # matched subtree too shallow for the residual
+                landed[p] = hit
+            if hit:
+                found.append(hit)
         results = [(target, node.text) for _, target, node in found]
         if (
             found
@@ -267,7 +283,7 @@ def adapt_rule(
     # touching the rule at all
     if rule.template is not None and not force:
         found = admit(
-            [p for p in template_match(rule.template, page, cfg.labeler) if within(p)]
+            [p for p in template_match(rule.template, page, cfg.labeler) if holding.holders(p)]
         )
         if found is not None:
             report = AdaptationReport(
@@ -287,7 +303,7 @@ def adapt_rule(
         ranked = best_matches(
             stored.subtree, page, cfg.labeler, algorithm=algorithm, min_score=low
         )
-        usable = [c for c in ranked if within(c.path)]
+        usable = [c for c in ranked if holding.holders(c.path)]
         try:
             chosen, resolved = threshold_search(
                 [c.score for c in usable],
@@ -347,7 +363,7 @@ def adapt_rule(
                 else datetime.now(timezone.utc).isoformat(timespec="seconds")
             ),
         )
-        plan_context = next(c for c in ctxs if inside(top_target, c))
+        plan_context = ctxs[holding.holders(top_target)[0]]
         plan_targets = [t for t in targets if inside(t, plan_context)]
         try:
             new_plan = generate_plan(
@@ -396,7 +412,7 @@ class _Executor:
 
     def run(self):
         return [
-            self._eval(rule, rule.name, [None], "constraint_violation", 0)[0]
+            self._eval(rule, rule.name, [(None, None)], "constraint_violation", 0)[0]
             for rule in self.wrapper.root_rules
         ]
 
@@ -437,9 +453,9 @@ class _Executor:
         return new_rule, report
 
     def _repair(self, rule, rule_path, contexts, trigger, page):
-        """Adapt with process_flow page advances.  Returns (status, per-context
-        match lists, page the matches are on), or None when everything is
-        exhausted."""
+        """Adapt with process_flow page advances, under context paths.
+        Returns (status, per-context match lists, page the matches are on),
+        or None when everything is exhausted."""
         while True:
             current = self.changed.get(rule_path, rule)
             try:
@@ -449,8 +465,12 @@ class _Executor:
                 cfg = current.adaptation
                 if "process_flow" in cfg.triggers and page + 1 < len(self.ctx.pages):
                     page += 1
-                    # the alternate page may satisfy the plan as-is
-                    ok, per_ctx = self._apply_contexts(current, contexts, page)
+                    # the alternate page may satisfy the plan as-is.  The
+                    # parent's nodes belong to its own page, so the context
+                    # paths are resolved on this one
+                    ok, per_ctx = self._apply_contexts(
+                        current, [(c, None) for c in contexts], page
+                    )
                     if ok:
                         return "ok", per_ctx, page
                     continue
@@ -458,15 +478,19 @@ class _Executor:
 
     def _apply_contexts(self, rule, contexts, page):
         """Plan results per context on one bundle page: (matches, locator
-        tag), matches being (path, node) pairs.  A violated context yields
-        None (an empty list is a legitimate result under min_count 0)."""
+        tag), matches being (path, node) pairs.  Contexts are (path, node)
+        pairs too, the node found on this page, or None to resolve the
+        path here.  A violated context yields None (an empty list is a
+        legitimate result under min_count 0)."""
         constraints = self.wrapper.effective_constraints(rule)
         tree = self.ctx.pages[page]
         per_ctx = []
         ok = True
-        for c in contexts:
+        for c, node in contexts:
             try:
-                per_ctx.append(apply_plan(rule.plan, tree, constraints, context_path=c))
+                per_ctx.append(
+                    apply_plan(rule.plan, tree, constraints, context_path=c, context_node=node)
+                )
             except (PlanExhausted, PathError):
                 per_ctx.append(None)
                 ok = False
@@ -475,26 +499,33 @@ class _Executor:
     def _partition(self, targets, contexts, page):
         """A repair's targets per context, as matches no locator answered."""
         tree = self.ctx.pages[page]
-        return [
-            ([(t, resolve(tree, t)) for t in sorted(targets) if inside(t, c)], None)
-            for c in contexts
-        ]
+        holding = Containment(contexts)
+        per_ctx = [[] for _ in contexts]
+        for t in sorted(targets):
+            holders = holding.holders(t)
+            if holders:
+                node = resolve(tree, t)
+                for i in holders:
+                    per_ctx[i].append((t, node))
+        return [(found, None) for found in per_ctx]
 
     # -- evaluation
 
     def _eval(self, rule, rule_path, contexts, attribution, page):
-        """Evaluate one rule under the given parent contexts, which were
-        found on bundle page `page`.  Returns a list of ExtractionResults
-        aligned with contexts."""
+        """Evaluate one rule under the given parent contexts, the parent's
+        (path, node) matches found on bundle page `page`; (None, None) is
+        the document.  Returns a list of ExtractionResults aligned with
+        contexts."""
         rule = self.changed.get(rule_path, rule)
         if not contexts:
             return []
+        paths = [c for c, _ in contexts]
         ok, per_ctx = self._apply_contexts(rule, contexts, page)
         statuses = ["ok"] * len(contexts)
         if not ok:
             repaired = None
             if rule.adaptation is not None:
-                repaired = self._repair(rule, rule_path, contexts, attribution, page)
+                repaired = self._repair(rule, rule_path, paths, attribution, page)
             if repaired is not None:
                 status, per_ctx, page = repaired
                 statuses = [status] * len(contexts)
@@ -511,7 +542,7 @@ class _Executor:
 
         for attempt in (0, 1):
             adapted = any(s == "adapted" for s in statuses)
-            flat = [p for matches, _ in per_ctx for p, _ in matches]
+            flat = [m for matches, _ in per_ctx for m in matches]
             child_results = {}
             for child in rule.children:
                 child_path = rule_path + "/" + child.name
@@ -527,11 +558,11 @@ class _Executor:
             self.forced_parents.add(rule_path)
             try:
                 _, report = self._adapt(
-                    rule, rule_path, contexts, "bottom_up", page, force=True
+                    rule, rule_path, paths, "bottom_up", page, force=True
                 )
             except AdaptationFailed:
                 break
-            per_ctx = self._partition(report.resolved, contexts, page)
+            per_ctx = self._partition(report.resolved, paths, page)
             statuses = ["adapted"] * len(contexts)
             rule = self.changed.get(rule_path, rule)
 

@@ -291,15 +291,14 @@ def refine(
 ) -> TreeTemplate:
     """Fold one more example into a template.  Widening only: anything the
     template accepted before is still accepted.  Returns the template
-    object unchanged when it already accepts the example."""
-    other = template_from_tree(tree, labeler)
-    if template.label != other.label:
-        raise GeneralizeError(
-            "root labels differ: %r vs %r" % (template.label, other.label)
-        )
+    object unchanged when it already accepts the example; only a merge
+    builds the example's own template."""
+    label = labeler.label_string(tree)
+    if template.label != label:
+        raise GeneralizeError("root labels differ: %r vs %r" % (template.label, label))
     if _accepts(template, tree, labeler):
         return template
-    return _merge(template, other)
+    return _merge(template, template_from_tree(tree, labeler))
 
 
 def template_match(

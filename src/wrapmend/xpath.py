@@ -10,7 +10,8 @@ Position predicates follow XPath proper: with the descendant axis they
 apply per parent group, not over the flattened result.
 
 Evaluation carries each node beside its path.  Only a relative
-expression's context is resolved from the root; every match is reached
+expression's context is resolved from the root, and not even that when
+the caller hands apply_plan the context's node; every match is reached
 from its parent, and apply_plan hands back (path, node) pairs, so no
 caller resolves a match again.  A plan expands its attempts, index
 relaxations included, once, on first use.
@@ -24,7 +25,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
-from wrapmend.dom import DomTree, NodePath, _walk, inside, resolve
+from wrapmend.dom import DomNode, DomTree, NodePath, _walk, inside, resolve
 from wrapmend.constraints import validate_results
 
 
@@ -228,10 +229,10 @@ def evaluate(expr: XPathExpr, tree: DomTree, context_path: Optional[NodePath] = 
     return [p for p, _ in _select(expr, tree, context_path)]
 
 
-def _select(expr: XPathExpr, tree: DomTree, context_path) -> list:
+def _select(expr: XPathExpr, tree: DomTree, context_path, context_node=None) -> list:
     """(path, node) of every match, document order, no duplicates.  Only
-    the context is resolved from the root; every other node is reached
-    from its parent."""
+    the context is resolved from the root, and only when its node is not
+    given; every other node is reached from its parent."""
     steps = expr.steps
     if expr.absolute:
         # the document sits above the root: the first step's only group
@@ -244,7 +245,7 @@ def _select(expr: XPathExpr, tree: DomTree, context_path) -> list:
         steps = steps[1:]
     else:
         path = tuple(context_path or ())
-        current = [(path, resolve(tree, path))]
+        current = [(path, resolve(tree, path) if context_node is None else context_node)]
     for step in steps:
         if not current:
             break
@@ -644,9 +645,12 @@ def apply_plan(
     tree: DomTree,
     constraints=(),
     context_path: Optional[NodePath] = None,
+    context_node: Optional[DomNode] = None,
 ):
     """Try the best locator, then each fallback in priority order, until one
-    yields results satisfying the constraints.
+    yields results satisfying the constraints.  context_node, when given,
+    is the node at context_path on this tree, so no locator resolves it
+    again; a node found on another page gives wrong matches.
 
     Returns (matches, used_tag), where matches are (path, node) pairs in
     document order.  `constraints` may be one constraint or a list; with
@@ -656,7 +660,7 @@ def apply_plan(
     if constraints and not isinstance(constraints, (list, tuple)):
         constraints = [constraints]
     for tag, expr in plan.attempts:
-        matches = _select(expr, tree, context_path)
+        matches = _select(expr, tree, context_path, context_node)
         if constraints:
             if not validate_results([(p, n.text) for p, n in matches], constraints):
                 return matches, tag

@@ -1,24 +1,39 @@
 """Execution, threshold search, adaptation and the trigger cascade."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wrapmend import engine
 from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint
 from wrapmend.corpus import author_wrapper, generate_page
-from wrapmend.dom import parse_html, resolve, serialize
+from wrapmend.dom import (
+    Containment,
+    DomTree,
+    enumerate_subtrees,
+    inside,
+    parse_html,
+    resolve,
+    serialize,
+)
 from wrapmend.engine import (
     AdaptationFailed,
     ExecutionContext,
     Unsatisfiable,
+    _Executor,
     adapt_rule,
     execute_wrapper,
     threshold_search,
 )
+from wrapmend.matching import best_matches
 from wrapmend.model import AdaptationConfig, Rule, Wrapper, capture_example, wrapper_to_dict
 from wrapmend.repo import WrapperStore
 from wrapmend.template import template_from_tree
 from wrapmend.xpath import FallbackPlan, PlanEntry, parse_xpath
+
+from conftest import random_node
 
 ORIGINAL_HTML = (
     '<html><body><div id="main">'
@@ -481,6 +496,33 @@ class TestProcessFlow:
         assert [(p.status, p.page) for p in prices] == [("ok", 0), ("ok", 0)]
         assert [p.matches[0][1] for p in prices] == ["10.00", "20.00"]
 
+    def test_child_advance_finds_its_contexts_on_the_alternate_page(self, monkeypatch):
+        # children get their parent's nodes, which belong to the primary
+        # page: under those the names are gone, so the plan can only hold
+        # as-is if the advance looks the contexts up on the alternate page
+        no_names = ORIGINAL_HTML.replace('<span class="name">Alpha</span>', "").replace(
+            '<span class="name">Beta</span>', ""
+        )
+        handed = []  # per apply_plan call given a node: is it the node at the path?
+        apply_plan = engine.apply_plan
+
+        def checking_apply_plan(plan, tree, *args, context_path=None, context_node=None, **kw):
+            if context_node is not None:
+                handed.append(context_node is resolve(tree, context_path))
+            return apply_plan(
+                plan, tree, *args, context_path=context_path, context_node=context_node, **kw
+            )
+
+        monkeypatch.setattr(engine, "apply_plan", checking_apply_plan)
+        w = build_wrapper(child_triggers=("process_flow",))
+        ctx = ExecutionContext(pages=(parse_html(no_names, source_id="p0"), original_page("p1")))
+        (rec,), _, _ = execute_wrapper(w, ctx)
+        names = [kids[0] for kids in rec.children]
+        assert [(n.status, n.page) for n in names] == [("ok", 1), ("ok", 1)]
+        assert [n.matches[0][1] for n in names] == ["Alpha", "Beta"]
+        # the record's children were handed its nodes, every one from its own page
+        assert handed and all(handed)
+
     def test_single_page_bundle_just_fails(self):
         w = build_wrapper(record_triggers=("process_flow",))
         ctx = ctx_for(EMPTY_HTML)
@@ -622,3 +664,131 @@ class TestContextValidation:
         _, _, new_w = execute_wrapper(w, ctx)
         rule = new_w.find_rule("record")
         assert rule.stored_example.captured_at == "2026-02-01T00:00:00+00:00"
+
+
+def sized_listing(n_records, seed=3):
+    """A corpus listing with n_records records: generate_page draws the
+    record count with its first randint."""
+    rng = random.Random(seed)
+    draw = rng.randint
+
+    def first(a, b):
+        rng.randint = draw
+        return n_records
+
+    rng.randint = first
+    html = generate_page(rng)
+    assert html.count('class="record"') == n_records
+    return html
+
+
+class TestRepairWorkGrowth:
+    """A child rule repaired under every record does O(depth) scoping and
+    partitioning work per path, so its bookkeeping grows with the records,
+    not with records times candidates."""
+
+    def bookkeeping_calls(self, monkeypatch, n_records):
+        wrapper = author_wrapper(parse_html(sized_listing(n_records)))
+        page = parse_html(sized_listing(n_records).replace('class="name"', 'class="title"'))
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "inside", counting("inside", engine.inside))
+            m.setattr(engine, "resolve", counting("resolve", engine.resolve))
+            m.setattr(Containment, "holders", counting("holders", Containment.holders))
+            _, reports, _ = execute_wrapper(wrapper, ExecutionContext(pages=(page,)))
+        assert [(r.rule_name, r.succeeded) for r in reports] == [("record/name", True)]
+        assert calls["holders"] > 0
+        return sum(calls.values())
+
+    def test_forty_records_cost_at_most_five_times_ten(self, monkeypatch):
+        ten = self.bookkeeping_calls(monkeypatch, 10)
+        forty = self.bookkeeping_calls(monkeypatch, 40)
+        assert forty <= 5 * ten, (ten, forty)
+
+
+@st.composite
+def contexts_and_targets(draw):
+    """A random tree, a non-empty context list holding None, (), nested,
+    sibling and duplicate paths, and target paths of the tree."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    tree = DomTree(root=random_node(random.Random(seed), max_depth=4, max_branch=3))
+    paths = sorted(p for p, _ in enumerate_subtrees(tree))
+    drawn = draw(
+        st.lists(st.one_of(st.none(), st.just(()), st.sampled_from(paths)), min_size=1, max_size=5)
+    )
+    contexts = list(drawn)
+    for c in drawn:
+        if not c:
+            continue
+        kind = draw(st.sampled_from(("nested", "parent", "sibling", "duplicate", "none")))
+        if kind == "nested":
+            below = [p for p in paths if len(p) > len(c) and p[: len(c)] == c]
+            if below:
+                contexts.append(draw(st.sampled_from(below)))
+        elif kind == "parent":
+            contexts.append(c[:-1])
+        elif kind == "sibling" and c[:-1] + (c[-1] + 1,) in paths:
+            contexts.append(c[:-1] + (c[-1] + 1,))
+        elif kind == "duplicate":
+            contexts.append(c)
+    contexts = draw(st.permutations(contexts))
+    targets = draw(st.lists(st.sampled_from(paths), max_size=12))
+    return tree, contexts, targets
+
+
+class TestContainmentDifferential:
+    """The containment index, a repair's scoping and the executor's
+    partition against brute force over `inside`."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(contexts_and_targets())
+    def test_holders_are_the_contexts_inside_holds(self, case):
+        tree, contexts, targets = case
+        holding = Containment(contexts)
+        for t in targets:
+            assert holding.holders(t) == [i for i, c in enumerate(contexts) if inside(t, c)]
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(contexts_and_targets())
+    def test_partition_gives_each_context_its_targets_in_order(self, case):
+        tree, contexts, targets = case
+        executor = _Executor(build_wrapper(), ExecutionContext(pages=(tree,)), 3)
+        got = executor._partition(targets, contexts, 0)
+        want = [[t for t in sorted(targets) if inside(t, c)] for c in contexts]
+        assert [[p for p, _ in found] for found, _ in got] == want
+        assert all(tag is None for _, tag in got)
+        assert all(node is resolve(tree, p) for found, _ in got for p, node in found)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.data())
+    def test_repair_searches_the_candidates_inside_its_contexts(self, seed, data):
+        page = parse_html(generate_page(random.Random(seed)))
+        rule = author_wrapper(page).find_rule("record/name")
+        paths = sorted(p for p, _ in enumerate_subtrees(page))
+        contexts = data.draw(
+            st.lists(st.one_of(st.none(), st.sampled_from(paths)), min_size=1, max_size=6)
+        )
+        try:
+            _, report = adapt_rule(rule, page, context_paths=contexts, clock=lambda: "t")
+        except AdaptationFailed as e:
+            report = e.report
+        cfg = rule.adaptation
+        ranked = best_matches(
+            rule.stored_example.subtree,
+            page,
+            cfg.labeler,
+            algorithm=report.algorithm,
+            min_score=cfg.interval[0],
+        )
+        held = tuple(c for c in ranked if any(inside(c.path, x) for x in contexts))
+        assert report.candidates == held
+        for t in report.resolved:
+            assert any(inside(t, x) for x in contexts)

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import build_node, random_node
+from wrapmend import template as template_module
 from wrapmend.dom import parse_snippet
 from wrapmend.matching import DEFAULT_LABELER, Labeler
 from wrapmend.template import (
@@ -174,6 +175,40 @@ class TestRefine:
 
     def test_label_mismatch_raises(self):
         t = template_from_tree(parse_snippet("<div></div>"))
+        with pytest.raises(GeneralizeError):
+            refine(t, parse_snippet("<ul></ul>"))
+
+    def count_builds(self, monkeypatch):
+        """Nodes template_from_tree is called on, its own recursion included."""
+        built = []
+
+        def counting(node, *args):
+            built.append(node)
+            return template_from_tree(node, *args)
+
+        monkeypatch.setattr(template_module, "template_from_tree", counting)
+        return built
+
+    def test_accepted_example_builds_no_template(self, monkeypatch):
+        t = generalize(
+            parse_snippet("<ul><li></li><li></li><li></li></ul>"),
+            parse_snippet("<ul><li></li><li></li></ul>"),
+        )
+        built = self.count_builds(monkeypatch)
+        assert refine(t, parse_snippet("<ul><li></li><li></li><li></li><li></li></ul>")) is t
+        assert built == []
+
+    def test_merge_builds_the_example_template_once(self, monkeypatch):
+        t = template_from_tree(parse_snippet("<div><b></b></div>"))
+        example = parse_snippet("<div><b></b><b></b></div>")
+        built = self.count_builds(monkeypatch)
+        assert refine(t, example) is not t
+        assert built == [example] + example.children
+
+    def test_label_mismatch_raises_before_acceptance(self):
+        # a wildcard root accepts any node, yet refine compares root labels first
+        t = TreeTemplate("*")
+        assert accepts(t, parse_snippet("<ul></ul>"))
         with pytest.raises(GeneralizeError):
             refine(t, parse_snippet("<ul></ul>"))
 

@@ -334,6 +334,21 @@ class TestEvaluateDifferential:
             assert node is resolve(tree, path)
 
 
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(tree_and_expr())
+    def test_a_given_context_node_answers_as_its_path(self, case):
+        tree, expr, context = case
+        plan = FallbackPlan(best=expr, best_tag="attribute")
+        node = resolve(tree, context or ())
+        try:
+            want = apply_plan(plan, tree, context_path=context)
+        except PlanExhausted:
+            with pytest.raises(PlanExhausted):
+                apply_plan(plan, tree, context_path=context, context_node=node)
+            return
+        assert apply_plan(plan, tree, context_path=context, context_node=node) == want
+
+
 class TestAnchors:
     def test_kinds_detected(self):
         anchors = detect_anchors(PAGE)
