@@ -31,19 +31,20 @@ The input wrapper value is never modified; accumulated rule changes
 produce a new wrapper with version + 1.
 
 A child rule repairs under every match of its parent at once, so a
-repair's bookkeeping is kept linear in those contexts: one
-dom.Containment index finds the contexts holding a path in O(depth),
-both for scoping candidates and for partitioning the admitted targets,
-and a repair resolves each candidate once whatever thresholds it tries.
-Children get their parent's nodes, not only its paths, so their plans
-resolve no context from the root; a process_flow advance looks the
-paths up again on its own page.
+repair's bookkeeping is kept linear in those contexts: its one
+dom.Containment index scopes candidates and splits the admitted targets
+per context in O(depth) per path.  A repair resolves each candidate once
+from the page, whatever thresholds it tries, and answers like a plan,
+with (path, node) matches per context.  Children get their parent's
+nodes, so their plans resolve no context from the root; a process_flow
+advance looks the paths up again on its own page.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from operator import itemgetter
 from typing import Optional
 
 from wrapmend.constraints import (
@@ -51,7 +52,7 @@ from wrapmend.constraints import (
     DatatypeConstraint,
     validate_results,
 )
-from wrapmend.dom import Containment, DomTree, PathError, detach_subtree, inside, resolve
+from wrapmend.dom import Containment, DomTree, PathError, detach_subtree, resolve
 from wrapmend.matching import best_matches
 from wrapmend.model import MAX_NESTING, Rule, StoredExample, Wrapper
 from wrapmend.template import GeneralizeError, generalize, levels, refine, template_match
@@ -174,13 +175,13 @@ def page_status(results, new_wrapper) -> str:
     return "ok"
 
 
-def threshold_search(scores, threshold, accept):
+def threshold_search(scores, interval, accept):
     """Highest threshold that `accept` takes.  Candidates are the distinct
-    scores inside the allowed interval plus the interval endpoints, tried
+    scores inside the (low, high) interval plus its endpoints, tried
     highest first; `accept(t)` returns None to reject t.  Returns
     (threshold, accept's result).  Score order does not affect the
     result."""
-    low, high = threshold if isinstance(threshold, tuple) else (threshold, threshold)
+    low, high = interval
     for t in sorted({s for s in scores if low <= s <= high} | {low, high}, reverse=True):
         admitted = accept(t)
         if admitted is not None:
@@ -212,9 +213,11 @@ def adapt_rule(
     given, returns the ISO timestamp a new stored example records.
     context_paths are the parent matches to search under; None stands
     for the whole document.
-    Returns (new rule, report); the rule comes back identical when a
-    template rescue sufficed.  Raises AdaptationFailed when nothing in
-    the allowed threshold range satisfies the constraints."""
+    Returns (new rule, report, matches); the rule comes back identical
+    when a template rescue sufficed.  matches holds the admitted targets
+    per context as (path, node) pairs in document order, as a plan
+    answers.  Raises AdaptationFailed when nothing in the allowed
+    threshold range satisfies the constraints."""
     name = rule_path or rule.name
     cfg = rule.adaptation
 
@@ -250,21 +253,21 @@ def adapt_rule(
     residual = stored.residual_path if stored is not None else ()
 
     holding = Containment(ctxs)
-    # candidate path -> (path, target, node), or False when the residual
+    # candidate path -> (root, target, node), or False when the residual
     # does not resolve: threshold_search admits growing prefixes of one
     # ranked list, so each path is resolved once per repair
     landed = {}
 
     def admit(paths):
-        """(path, target, node) for every path whose residual resolves,
-        or None when that set breaks the constraints."""
+        """(root node, target, node) for every path whose residual
+        resolves, or None when that set breaks the constraints."""
         found = []
         for p in paths:
             hit = landed.get(p)
             if hit is None:
-                target = p + residual
                 try:
-                    hit = (p, target, resolve(page, target))
+                    root = resolve(page, p)
+                    hit = (root, p + residual, resolve(root, residual))
                 except PathError:
                     hit = False  # matched subtree too shallow for the residual
                 landed[p] = hit
@@ -278,6 +281,14 @@ def adapt_rule(
         ):
             return found
         return None
+
+    def split(found):
+        """The admitted targets per context, (path, node) in document order."""
+        per_ctx = [[] for _ in ctxs]
+        for _, target, node in sorted(found, key=itemgetter(1)):
+            for i in holding.holders(target):
+                per_ctx[i].append((target, node))
+        return per_ctx
 
     # 1. template rescue: shape knowledge may localize the data without
     # touching the rule at all
@@ -293,7 +304,7 @@ def adapt_rule(
                 succeeded=True,
                 notes=("template matched; no further action",),
             )
-            return rule, report
+            return rule, report, split(found)
 
     if stored is None:
         raise failure(["no stored example to search with"])
@@ -307,7 +318,7 @@ def adapt_rule(
         try:
             chosen, resolved = threshold_search(
                 [c.score for c in usable],
-                cfg.threshold,
+                cfg.interval,
                 lambda t: admit([c.path for c in usable if c.score >= t]),
             )
             break
@@ -325,7 +336,7 @@ def adapt_rule(
     # 2. fold the matched shapes into the template
     new_template = rule.template
     template_action = "none"
-    matched_roots = [resolve(page, p) for p, _, _ in resolved]
+    matched_roots = [root for root, _, _ in resolved]
     try:
         if new_template is None:
             new_template = generalize(stored.subtree, matched_roots[0], cfg.labeler)
@@ -350,11 +361,11 @@ def adapt_rule(
     # 3. re-anchor the stored example and plan on the top match
     new_stored = stored
     new_plan = rule.plan
-    targets = [target for _, target, _ in resolved]
+    matches = split(resolved)
     if cfg.update_stored:
         top, top_target, _ = resolved[0]
         new_stored = StoredExample(
-            subtree=detach_subtree(resolve(page, top)),
+            subtree=detach_subtree(top),
             residual_path=stored.residual_path,
             captured_from=page.source_id,
             captured_at=(
@@ -363,13 +374,13 @@ def adapt_rule(
                 else datetime.now(timezone.utc).isoformat(timespec="seconds")
             ),
         )
-        plan_context = ctxs[holding.holders(top_target)[0]]
-        plan_targets = [t for t in targets if inside(t, plan_context)]
+        first = holding.holders(top_target)[0]
+        plan_targets = [t for t, _ in matches[first]]
         try:
             new_plan = generate_plan(
                 page,
                 top_target,
-                context_path=plan_context,
+                context_path=ctxs[first],
                 cohort=plan_targets if len(plan_targets) > 1 else None,
             )
         except XPathError as e:
@@ -393,11 +404,11 @@ def adapt_rule(
             "before": _config_summary(rule),
             "after": _config_summary(new_rule),
         },
-        resolved=tuple(targets),
+        resolved=tuple(t for _, t, _ in resolved),
         succeeded=True,
         notes=tuple(notes),
     )
-    return new_rule, report
+    return new_rule, report, matches
 
 
 class _Executor:
@@ -422,6 +433,7 @@ class _Executor:
         return self.max_depth * len(self.ctx.pages)
 
     def _adapt(self, rule, rule_path, contexts, trigger, page, force=False):
+        """One counted repair; per context, (matches, None), as no locator answered."""
         if self.attempts.get(rule_path, 0) >= self._budget():
             report = AdaptationReport(
                 rule_name=rule_path,
@@ -434,7 +446,7 @@ class _Executor:
         self.attempts[rule_path] = self.attempts.get(rule_path, 0) + 1
         constraints = self.wrapper.effective_constraints(rule)
         try:
-            new_rule, report = adapt_rule(
+            new_rule, report, matches = adapt_rule(
                 rule,
                 self.ctx.pages[page],
                 clock=self.ctx.clock,
@@ -450,7 +462,7 @@ class _Executor:
         self.reports.append(report)
         if new_rule is not rule:
             self.changed[rule_path] = new_rule
-        return new_rule, report
+        return [(found, None) for found in matches]
 
     def _repair(self, rule, rule_path, contexts, trigger, page):
         """Adapt with process_flow page advances, under context paths.
@@ -459,8 +471,7 @@ class _Executor:
         while True:
             current = self.changed.get(rule_path, rule)
             try:
-                _, report = self._adapt(current, rule_path, contexts, trigger, page)
-                return "adapted", self._partition(report.resolved, contexts, page), page
+                return "adapted", self._adapt(current, rule_path, contexts, trigger, page), page
             except AdaptationFailed:
                 cfg = current.adaptation
                 if "process_flow" in cfg.triggers and page + 1 < len(self.ctx.pages):
@@ -495,19 +506,6 @@ class _Executor:
                 per_ctx.append(None)
                 ok = False
         return ok, per_ctx
-
-    def _partition(self, targets, contexts, page):
-        """A repair's targets per context, as matches no locator answered."""
-        tree = self.ctx.pages[page]
-        holding = Containment(contexts)
-        per_ctx = [[] for _ in contexts]
-        for t in sorted(targets):
-            holders = holding.holders(t)
-            if holders:
-                node = resolve(tree, t)
-                for i in holders:
-                    per_ctx[i].append((t, node))
-        return [(found, None) for found in per_ctx]
 
     # -- evaluation
 
@@ -557,12 +555,9 @@ class _Executor:
                 break
             self.forced_parents.add(rule_path)
             try:
-                _, report = self._adapt(
-                    rule, rule_path, paths, "bottom_up", page, force=True
-                )
+                per_ctx = self._adapt(rule, rule_path, paths, "bottom_up", page, force=True)
             except AdaptationFailed:
                 break
-            per_ctx = self._partition(report.resolved, paths, page)
             statuses = ["adapted"] * len(contexts)
             rule = self.changed.get(rule_path, rule)
 

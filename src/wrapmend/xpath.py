@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from wrapmend.dom import DomNode, DomTree, NodePath, _walk, inside, resolve
@@ -364,10 +364,11 @@ class FallbackPlan:
     @cached_property
     def attempts(self) -> tuple:
         """(tag, expr) in the order apply_plan tries them: the best, then
-        each fallback, an index relaxation as its variants.  Expanded on
-        first use and kept outside the fields, so equality ignores it."""
+        each fallback by priority, file order breaking ties, an index
+        relaxation as its variants.  Expanded on first use and kept
+        outside the fields, so equality ignores it."""
         attempts = [(self.best_tag, self.best)]
-        for entry in self.fallbacks:
+        for entry in sorted(self.fallbacks, key=attrgetter("priority")):
             if entry.tag == "index_relaxation":
                 attempts += [(entry.tag, v) for v in relaxation_variants(entry.expr)]
             else:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wrapmend import engine
 from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint
-from wrapmend.corpus import author_wrapper, generate_page
+from wrapmend.corpus import SCENARIOS, author_wrapper, generate_page
 from wrapmend.dom import (
     Containment,
     DomTree,
@@ -22,13 +22,13 @@ from wrapmend.engine import (
     AdaptationFailed,
     ExecutionContext,
     Unsatisfiable,
-    _Executor,
     adapt_rule,
     execute_wrapper,
     threshold_search,
 )
 from wrapmend.matching import best_matches
 from wrapmend.model import AdaptationConfig, Rule, Wrapper, capture_example, wrapper_to_dict
+from wrapmend.mutate import MutationSpec, mutate_tree
 from wrapmend.repo import WrapperStore
 from wrapmend.template import template_from_tree
 from wrapmend.xpath import FallbackPlan, PlanEntry, parse_xpath
@@ -141,14 +141,14 @@ def ctx_for(html, source_id="page-m"):
 
 
 class TestThresholdSearch:
-    def search(self, scores, constraint, threshold):
+    def search(self, scores, constraint, interval):
         """Accept the admitted count when the cardinality constraint takes it."""
 
         def accept(t):
             n = sum(1 for s in scores if s >= t)
             return n if constraint.admits(n) else None
 
-        return threshold_search(scores, threshold, accept)
+        return threshold_search(scores, interval, accept)
 
     def test_picks_highest_admitting_threshold(self):
         t, n = self.search([0.9, 0.4], CardinalityConstraint(1, 1), (0.5, 0.95))
@@ -169,7 +169,7 @@ class TestThresholdSearch:
         assert n == 1
 
     def test_constant_threshold(self):
-        t, n = self.search([0.8, 0.6], CardinalityConstraint(1, 1), 0.7)
+        t, n = self.search([0.8, 0.6], CardinalityConstraint(1, 1), (0.7, 0.7))
         assert (t, n) == (0.7, 1)
 
     def test_at_least_one_takes_widest_passing_prefix(self):
@@ -578,17 +578,18 @@ class TestAdaptRuleDirect:
         w = build_wrapper()
         record = w.find_rule("record")
         page = parse_html(WRAPPED_HTML)
-        new_rule, report = adapt_rule(record, page, constraints=record.constraints)
+        new_rule, report, matches = adapt_rule(record, page, constraints=record.constraints)
         assert new_rule is not record
         assert report.resolved == (ITEM0, ITEM1)
         assert resolve(page, report.resolved[0]).attributes["class"] == "item"
+        assert matches == [[(ITEM0, resolve(page, ITEM0)), (ITEM1, resolve(page, ITEM1))]]
 
     def test_context_paths_scope_the_search(self):
         # restricted to the second item, exactly-one is satisfiable
         w = build_wrapper()
         price = w.find_rule("record/price")
         page = parse_html(WRAPPED_COST_HTML)
-        new_rule, report = adapt_rule(
+        new_rule, report, _ = adapt_rule(
             price,
             page,
             constraints=price.constraints,
@@ -684,12 +685,21 @@ def sized_listing(n_records, seed=3):
 
 class TestRepairWorkGrowth:
     """A child rule repaired under every record does O(depth) scoping and
-    partitioning work per path, so its bookkeeping grows with the records,
+    splitting work per path, so its bookkeeping grows with the records,
     not with records times candidates."""
 
-    def bookkeeping_calls(self, monkeypatch, n_records):
+    def repair_listing(self, monkeypatch, n_records, patch):
+        """Repair every record's renamed name on an n-record listing while
+        patch(m, page) is in place; returns the one report."""
         wrapper = author_wrapper(parse_html(sized_listing(n_records)))
         page = parse_html(sized_listing(n_records).replace('class="name"', 'class="title"'))
+        with monkeypatch.context() as m:
+            patch(m, page)
+            _, reports, _ = execute_wrapper(wrapper, ExecutionContext(pages=(page,)))
+        assert [(r.rule_name, r.succeeded) for r in reports] == [("record/name", True)]
+        return reports[0]
+
+    def bookkeeping_calls(self, monkeypatch, n_records):
         calls = Counter()
 
         def counting(name, fn):
@@ -699,12 +709,11 @@ class TestRepairWorkGrowth:
 
             return counted
 
-        with monkeypatch.context() as m:
-            m.setattr(engine, "inside", counting("inside", engine.inside))
+        def patch(m, page):
             m.setattr(engine, "resolve", counting("resolve", engine.resolve))
             m.setattr(Containment, "holders", counting("holders", Containment.holders))
-            _, reports, _ = execute_wrapper(wrapper, ExecutionContext(pages=(page,)))
-        assert [(r.rule_name, r.succeeded) for r in reports] == [("record/name", True)]
+
+        self.repair_listing(monkeypatch, n_records, patch)
         assert calls["holders"] > 0
         return sum(calls.values())
 
@@ -713,14 +722,28 @@ class TestRepairWorkGrowth:
         forty = self.bookkeeping_calls(monkeypatch, 40)
         assert forty <= 5 * ten, (ten, forty)
 
+    def test_a_repair_resolves_each_candidate_once_from_the_page(self, monkeypatch):
+        from_page = []
+
+        def patch(m, page):
+            resolve_ = engine.resolve
+
+            def counted(tree, path):
+                if tree is page:
+                    from_page.append(path)
+                return resolve_(tree, path)
+
+            m.setattr(engine, "resolve", counted)
+
+        report = self.repair_listing(monkeypatch, 10, patch)
+        assert from_page
+        assert len(from_page) <= len(report.candidates), (len(from_page), len(report.candidates))
+
 
 @st.composite
-def contexts_and_targets(draw):
-    """A random tree, a non-empty context list holding None, (), nested,
-    sibling and duplicate paths, and target paths of the tree."""
-    seed = draw(st.integers(0, 2**32 - 1))
-    tree = DomTree(root=random_node(random.Random(seed), max_depth=4, max_branch=3))
-    paths = sorted(p for p, _ in enumerate_subtrees(tree))
+def context_lists(draw, paths):
+    """A non-empty list of contexts over paths holding None, (), nested,
+    parent, sibling and duplicate paths, in any order."""
     drawn = draw(
         st.lists(st.one_of(st.none(), st.just(()), st.sampled_from(paths)), min_size=1, max_size=5)
     )
@@ -739,14 +762,24 @@ def contexts_and_targets(draw):
             contexts.append(c[:-1] + (c[-1] + 1,))
         elif kind == "duplicate":
             contexts.append(c)
-    contexts = draw(st.permutations(contexts))
+    return draw(st.permutations(contexts))
+
+
+@st.composite
+def contexts_and_targets(draw):
+    """A random tree, a context list over its paths, and target paths of
+    the tree."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    tree = DomTree(root=random_node(random.Random(seed), max_depth=4, max_branch=3))
+    paths = sorted(p for p, _ in enumerate_subtrees(tree))
+    contexts = draw(context_lists(paths))
     targets = draw(st.lists(st.sampled_from(paths), max_size=12))
     return tree, contexts, targets
 
 
 class TestContainmentDifferential:
-    """The containment index, a repair's scoping and the executor's
-    partition against brute force over `inside`."""
+    """The containment index, and a repair's scoping and per-context
+    split, against brute force over `inside`."""
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(contexts_and_targets())
@@ -756,30 +789,37 @@ class TestContainmentDifferential:
         for t in targets:
             assert holding.holders(t) == [i for i, c in enumerate(contexts) if inside(t, c)]
 
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-    @given(contexts_and_targets())
-    def test_partition_gives_each_context_its_targets_in_order(self, case):
-        tree, contexts, targets = case
-        executor = _Executor(build_wrapper(), ExecutionContext(pages=(tree,)), 3)
-        got = executor._partition(targets, contexts, 0)
-        want = [[t for t in sorted(targets) if inside(t, c)] for c in contexts]
-        assert [[p for p, _ in found] for found, _ in got] == want
-        assert all(tag is None for _, tag in got)
-        assert all(node is resolve(tree, p) for found, _ in got for p, node in found)
+    def repair_in_contexts(self, seed, data):
+        """Repair a drawn rule on a damaged page within drawn contexts;
+        returns the page, the contexts, the rule, the report and the
+        matches (None when the repair failed)."""
+        # a damaged page, so that the ranking differs from document order
+        intact = parse_html(generate_page(random.Random(seed)))
+        _, operations = data.draw(st.sampled_from(SCENARIOS))
+        page = mutate_tree(intact, MutationSpec(operations=operations, seed=seed, rate=0.3))[0]
+        rule = author_wrapper(intact).find_rule(data.draw(st.sampled_from(("record", "record/name"))))
+        contexts = data.draw(context_lists(sorted(p for p, _ in enumerate_subtrees(page))))
+        try:
+            _, report, matches = adapt_rule(rule, page, context_paths=contexts, clock=lambda: "t")
+        except AdaptationFailed as e:
+            report, matches = e.report, None
+        return page, contexts, rule, report, matches
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.data())
+    def test_partition_gives_each_context_its_targets_in_order(self, seed, data):
+        page, contexts, _, report, matches = self.repair_in_contexts(seed, data)
+        if matches is not None:
+            # each context gets its targets in document order, as a plan answers
+            assert [[p for p, _ in found] for found in matches] == [
+                [t for t in sorted(report.resolved) if inside(t, c)] for c in contexts
+            ]
+            assert all(node is resolve(page, p) for found in matches for p, node in found)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(st.integers(0, 3), st.data())
     def test_repair_searches_the_candidates_inside_its_contexts(self, seed, data):
-        page = parse_html(generate_page(random.Random(seed)))
-        rule = author_wrapper(page).find_rule("record/name")
-        paths = sorted(p for p, _ in enumerate_subtrees(page))
-        contexts = data.draw(
-            st.lists(st.one_of(st.none(), st.sampled_from(paths)), min_size=1, max_size=6)
-        )
-        try:
-            _, report = adapt_rule(rule, page, context_paths=contexts, clock=lambda: "t")
-        except AdaptationFailed as e:
-            report = e.report
+        page, contexts, rule, report, _ = self.repair_in_contexts(seed, data)
         cfg = rule.adaptation
         ranked = best_matches(
             rule.stored_example.subtree,

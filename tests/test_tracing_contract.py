@@ -14,8 +14,10 @@ import wrapmend.engine
 import wrapmend.xpath
 from wrapmend.corpus import SCENARIOS, author_wrapper, generate_page
 from wrapmend.dom import parse_html
-from wrapmend.engine import ExecutionContext, execute_wrapper, page_status
+from wrapmend.engine import ExecutionContext, adapt_rule, execute_wrapper, page_status
 from wrapmend.mutate import MutationSpec, mutate_tree
+
+from test_engine import WRAPPED_HTML, build_wrapper
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -64,6 +66,16 @@ def test_accept_path_calls_through_the_traced_names(monkeypatch):
     assert len(answered) == 1 + 2 * n
     assert all(used == best for used, best in answered)
     assert len(validated) == 1 + 2 * n
+
+
+def test_adapt_note_reads_the_report_of_a_repair():
+    note = perfbench_module("tracing")._note_adapt
+    page = parse_html(WRAPPED_HTML)
+    for with_template, want in ((True, {"rescue": 1}), (False, None)):
+        record = build_wrapper(with_template=with_template).find_rule("record")
+        result = adapt_rule(record, page)
+        assert (result[0] is record) == with_template
+        assert note((record, page), {}, result, None) == want
 
 
 def test_benchmark_status_rule_is_the_library_rule():

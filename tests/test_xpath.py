@@ -625,6 +625,24 @@ class TestApplyPlan:
             apply_plan(plan, gone)
         assert err.value.tried
 
+    def test_fallbacks_are_tried_in_priority_order(self):
+        # the file lists positional (60) before id (10): id answers first
+        page = parse_html('<html><body><p>first</p><p id="goal">second</p></body></html>')
+        plan = FallbackPlan.from_dict(
+            {
+                "xpath_best": {"expr": "//p[@class='gone']", "tag": "attribute"},
+                "xpath_fallbacks": [
+                    {"expr": "/html/body/p[1]", "tag": "positional", "priority": 60},
+                    {"expr": "/html/body/p", "tag": "structural", "priority": 60},
+                    {"expr": "//*[@id='goal']", "tag": "id", "priority": 10},
+                ],
+            }
+        )
+        assert [t for t, _ in plan.attempts] == ["attribute", "id", "positional", "structural"]
+        matches, tag = apply_plan(plan, page, exactly_one())
+        assert tag == "id"
+        assert [node.text for _, node in matches] == ["second"]
+
     def test_exhausted_reports_attempts(self):
         plan = generate_plan(PAGE, (0, 1, 1))
         empty = parse_html("<html><body></body></html>")
