@@ -61,7 +61,12 @@ def cmd_run(args) -> int:
         wrapper = wrapper.map_rules(lambda _, rule: replace(rule, adaptation=None))
 
     try:
-        store = WrapperStore(args.store) if args.commit else None
+        store = None
+        if args.commit:
+            # asked to commit, a store that cannot be made fails before
+            # any page runs, whether or not the run repairs
+            pathlib.Path(args.store).mkdir(parents=True, exist_ok=True)
+            store = WrapperStore(args.store)
         snap = run_snapshot(wrapper, ExecutionContext(pages=tuple(pages)), store)
     except (OSError, StorageError) as e:
         return _usage("commit failed: %s" % e)
@@ -176,6 +181,8 @@ def cmd_history(args) -> int:
         records = WrapperStore(args.store).history(args.name)
     except StorageError as e:
         return _usage(str(e))
+    except OSError as e:
+        return _usage("cannot read store: %s" % e)
     fmt = args.format or "table"
     if fmt == "json":
         print(_dumps([r.to_dict() for r in records]))

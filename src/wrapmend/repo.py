@@ -3,9 +3,12 @@
 Layout: one directory per wrapper name holding v<N>.json content files
 plus an append-only log.jsonl of version records.  The log is the source
 of truth; content files are verified against the recorded digest on
-checkout.  Linear history only: a commit must carry exactly
+every checkout.  A digest this store committed or built last for the
+name is not built again: checkout hands out a fresh copy of the Wrapper
+it built then.  Linear history only: a commit must carry exactly
 latest-version-plus-one, anything else is a ConflictError and the caller
-rebases on latest.
+rebases on latest.  The root directory is created by the first commit,
+so reading a store never creates one.
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
+from wrapmend.dom import detach_subtree
 from wrapmend.engine import ExecutionContext, execute_wrapper, page_status
 from wrapmend.model import (
+    Rule,
+    StoredExample,
     Wrapper,
     WrapperFormatError,
     wrapper_dict,
@@ -99,10 +105,41 @@ def _fsync_dir(path) -> None:
         os.close(fd)
 
 
+def _fresh(wrapper: Wrapper) -> Wrapper:
+    """A copy of a built wrapper that shares only frozen values: new
+    Wrapper, Rule and StoredExample objects, each stored subtree detached
+    anew, the plans, constraints, adaptation configs and templates shared."""
+
+    def rule(r: Rule) -> Rule:
+        example = r.stored_example
+        if example is not None:
+            example = StoredExample(
+                detach_subtree(example.subtree),
+                example.residual_path,
+                example.captured_from,
+                example.captured_at,
+            )
+        return Rule(
+            r.name,
+            r.plan,
+            r.constraints,
+            r.adaptation,
+            example,
+            r.template,
+            tuple(map(rule, r.children)),
+        )
+
+    return Wrapper(
+        wrapper.name, wrapper.version, tuple(map(rule, wrapper.root_rules)), wrapper.constraints
+    )
+
+
 class WrapperStore:
     def __init__(self, root):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        # name -> (content digest, Wrapper built from that content): what
+        # the last commit loaded back or the last checkout built
+        self._built = {}
 
     def _dir(self, name: str) -> Path:
         if not name or name in (".", "..") or "/" in name or os.sep in name or "\0" in name:
@@ -157,7 +194,7 @@ class WrapperStore:
         wdir = self._dir(wrapper.name)
         content = wrapper_json(wrapper).encode("utf-8")
         try:
-            wrapper_from_dict(wrapper_dict(content))
+            loaded = wrapper_from_dict(wrapper_dict(content))
         except WrapperFormatError as e:
             raise StorageError(
                 "%s v%d does not load back: %s" % (wrapper.name, wrapper.version, e)
@@ -212,16 +249,20 @@ class WrapperStore:
                     os.fsync(fh.fileno())
                 if created:
                     _fsync_dir(wdir)
+                self._built[wrapper.name] = (record.content_digest, loaded)
                 return record
             finally:
                 fcntl.flock(lock, fcntl.LOCK_UN)
 
     def checkout(self, name: str, version="latest") -> Wrapper:
+        """The wrapper at version ("latest" or an int), as new objects."""
         records = self.history(name)
         if version == "latest":
             record = records[-1]
         else:
-            matches = [r for r in records if r.version == version]
+            # True == 1 == 1.0, but only an int names a version
+            named = isinstance(version, int) and not isinstance(version, bool)
+            matches = [r for r in records if r.version == version] if named else []
             if not matches:
                 raise NotFoundError("wrapper %r has no version %r" % (name, version))
             record = matches[0]
@@ -234,10 +275,16 @@ class WrapperStore:
             raise CorruptionError(
                 "digest mismatch for %s v%d" % (name, record.version)
             )
-        try:
-            return wrapper_from_dict(wrapper_dict(data))
-        except WrapperFormatError as e:
-            raise CorruptionError("unreadable content for %s v%d: %s" % (name, record.version, e))
+        built = self._built.get(name)
+        if built is None or built[0] != record.content_digest:
+            try:
+                wrapper = wrapper_from_dict(wrapper_dict(data))
+            except WrapperFormatError as e:
+                raise CorruptionError(
+                    "unreadable content for %s v%d: %s" % (name, record.version, e)
+                )
+            built = self._built[name] = (record.content_digest, wrapper)
+        return _fresh(built[1])
 
     def history(self, name: str) -> list:
         return self._scan_log(name)[0]

@@ -500,6 +500,18 @@ class TestHistory:
         store.mkdir()
         assert main(["--store", str(store), "history", "ghost"]) == 2
 
+    def test_missing_store_is_not_created(self, workdir, capsys):
+        store = workdir / "new" / "store"
+        assert main(["--store", str(store), "history", "listing"]) == 2
+        assert "no wrapper named" in capsys.readouterr().err
+        assert not (workdir / "new").exists()
+
+    def test_store_under_a_regular_file_is_usage_error(self, workdir, capsys):
+        (workdir / "afile").write_text("")
+        store = workdir / "afile" / "store"
+        assert main(["--store", str(store), "history", "listing"]) == 2
+        assert "cannot read store" in capsys.readouterr().err
+
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -10,10 +11,11 @@ import wrapmend.repo as repo
 from conftest import random_wrapper
 from test_cli import ORIGINAL_HTML, WRAPPED_HTML
 from test_model import unloadable_wrapper
+from wrapmend.constraints import CardinalityConstraint
 from wrapmend.corpus import author_wrapper
 from wrapmend.dom import DomNode, parse_html
 from wrapmend.engine import ExecutionContext
-from wrapmend.model import Wrapper
+from wrapmend.model import Rule, StoredExample, Wrapper, wrapper_dict, wrapper_from_dict
 from wrapmend.repo import (
     ConflictError,
     CorruptionError,
@@ -91,6 +93,29 @@ class TestCommitCheckout:
         store.commit(random_wrapper(rng, name="shop"))
         with pytest.raises(NotFoundError):
             store.checkout("shop", 99)
+
+    def test_only_latest_or_an_int_names_a_version(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        store.commit(random_wrapper(rng, name="shop"))
+        for version in (True, 1.0, "1", None):
+            with pytest.raises(NotFoundError):
+                store.checkout("shop", version)
+
+    def test_reading_a_missing_root_creates_nothing(self, tmp_path):
+        store = WrapperStore(tmp_path / "absent")
+        with pytest.raises(NotFoundError):
+            store.history("shop")
+        with pytest.raises(NotFoundError):
+            store.checkout("shop")
+        assert store.names() == []
+        assert not (tmp_path / "absent").exists()
+
+    def test_first_commit_creates_the_root(self, tmp_path, rng):
+        store = WrapperStore(tmp_path / "a" / "store")
+        w = random_wrapper(rng, name="shop")
+        store.commit(w)
+        assert store.names() == ["shop"]
+        assert WrapperStore(tmp_path / "a" / "store").checkout("shop") == w
 
     def test_bad_name_rejected(self, tmp_path):
         store = WrapperStore(tmp_path)
@@ -186,6 +211,29 @@ def with_stored_example(rng, name):
                 return w, path
 
 
+MUTABLE = (Wrapper, Rule, StoredExample, DomNode, dict, list)
+
+
+def mutable_ids(root) -> set:
+    """ids of the mutable objects reachable from root through attributes
+    and container items; an object's own attribute dict is not counted."""
+    seen, found, stack = set(), set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, MUTABLE):
+            found.add(id(obj))
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, frozenset)):
+            stack += obj
+        elif hasattr(obj, "__dict__"):
+            stack += vars(obj).values()
+    return found
+
+
 class TestRepeatedCheckout:
     def test_checkouts_are_equal_but_not_shared(self, tmp_path, rng):
         store = WrapperStore(tmp_path)
@@ -202,6 +250,96 @@ class TestRepeatedCheckout:
         third = store.checkout("shop")
         assert third == w
         assert third.find_rule(path).stored_example.subtree != subtree
+
+    def test_mutating_a_checkout_or_the_committed_wrapper_changes_no_checkout(
+        self, tmp_path, rng
+    ):
+        w, path = with_stored_example(rng, "shop")
+        writer = WrapperStore(tmp_path)
+        writer.commit(w)
+        on_disk = wrapper_from_dict(wrapper_dict((tmp_path / "shop" / "v1.json").read_bytes()))
+        assert on_disk == w
+        # the committing store keeps what it wrote, not the caller's object
+        w.find_rule(path).stored_example.subtree.attributes["data-x"] = "1"
+        # a fresh store builds its first checkout from the file
+        for store in (writer, WrapperStore(tmp_path)):
+            for _ in range(2):
+                first = store.checkout("shop")
+                assert first == on_disk != w
+                rule = first.find_rule(path)
+                rule.constraints = ()
+                rule.stored_example.residual_path = ()
+                rule.stored_example.subtree.children.append(DomNode("ins", text="mutated"))
+            assert store.checkout("shop") == on_disk
+
+    def test_content_built_once_per_store(self, tmp_path, rng, monkeypatch):
+        calls = []
+        real = repo.wrapper_from_dict
+
+        def counted(d):
+            calls.append(1)
+            return real(d)
+
+        monkeypatch.setattr(repo, "wrapper_from_dict", counted)
+        store = WrapperStore(tmp_path)
+        store.commit(random_wrapper(rng, name="shop"))
+        assert len(calls) == 1  # the load-back check
+        store.checkout("shop")
+        assert len(calls) == 1
+        fresh = WrapperStore(tmp_path)
+        fresh.checkout("shop")
+        assert len(calls) == 2
+        fresh.checkout("shop")
+        fresh.checkout("shop", 1)
+        assert len(calls) == 2
+
+    def test_another_stores_commit_is_seen(self, tmp_path, rng):
+        a, b = WrapperStore(tmp_path), WrapperStore(tmp_path)
+        w1 = random_wrapper(rng, name="shop")
+        a.commit(w1)
+        assert a.checkout("shop") == w1
+        w2 = bump(random_wrapper(rng, name="shop"), 2)
+        b.commit(w2)
+        assert a.checkout("shop") == w2
+        assert a.checkout("shop", version=1) == w1
+        assert a.checkout("shop") == w2
+
+    def test_hand_edit_after_a_checkout_is_read(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        w = random_wrapper(rng, name="shop")
+        store.commit(w)
+        wdir = tmp_path / "shop"
+        d = json.loads((wdir / "v1.json").read_bytes())
+        assert store.checkout("shop") == w
+        d["constraints"] = [{"kind": "cardinality", "min": 0, "max": 7}]
+        rewrite_content(wdir, (json.dumps(d, indent=2, sort_keys=True) + "\n").encode())
+        assert store.checkout("shop").constraints == (CardinalityConstraint(0, 7),)
+        d["surprise"] = True
+        rewrite_content(wdir, (json.dumps(d, indent=2, sort_keys=True) + "\n").encode())
+        with pytest.raises(CorruptionError, match="schema violation"):
+            store.checkout("shop")
+
+    def test_byte_edit_after_a_checkout_is_corruption(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        store.commit(random_wrapper(rng, name="shop"))
+        store.checkout("shop")
+        path = tmp_path / "shop" / "v1.json"
+        path.write_bytes(path.read_bytes().replace(b" ", b"  ", 1))
+        with pytest.raises(CorruptionError, match="digest mismatch"):
+            store.checkout("shop")
+
+    def test_checkouts_share_no_mutable_object(self, tmp_path, rng):
+        w, _ = with_stored_example(rng, "shop")
+        store = WrapperStore(tmp_path)
+        store.commit(w)
+        hits = [store.checkout("shop"), store.checkout("shop")]
+        fresh = WrapperStore(tmp_path)
+        miss = fresh.checkout("shop")
+        checkouts = hits + [miss, fresh.checkout("shop"), w]
+        reached = [mutable_ids(c) for c in checkouts]
+        assert all(reached)
+        for one, other in combinations(reached, 2):
+            assert not one & other
 
     def test_schema_invalid_content_raises_every_checkout(self, tmp_path, rng):
         store = WrapperStore(tmp_path)
