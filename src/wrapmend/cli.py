@@ -21,7 +21,14 @@ import pathlib
 import sys
 from dataclasses import replace
 
-from .corpus import DEFAULT_RATE, CaseError, evaluate_corpus, flatten_results, with_algorithm
+from .corpus import (
+    DEFAULT_RATE,
+    CaseError,
+    evaluate_corpus,
+    flatten_results,
+    rate_arg,
+    with_algorithm,
+)
 from .dom import read_page, serialize
 from .engine import ExecutionContext
 from .metrics import eval_table
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=OPERATIONS,
         help="operation to include (repeatable; default: all)",
     )
-    mut.add_argument("--rate", type=float, default=DEFAULT_RATE)
+    mut.add_argument("--rate", type=rate_arg, default=DEFAULT_RATE)
     mut.add_argument("--out", help="mutated HTML path")
     mut.add_argument("--truth", help="ground-truth JSON path")
     mut.set_defaults(func=cmd_mutate)

@@ -49,6 +49,18 @@ SCENARIOS = (
 )
 
 DEFAULT_RATE = 0.15
+
+
+def rate_arg(text: str) -> float:
+    """argparse type of a --rate option: a mutation rate in [0, 1]."""
+    try:
+        rate = float(text)
+    except ValueError:
+        rate = None
+    if rate is None or not 0.0 <= rate <= 1.0:  # nan compares false
+        raise argparse.ArgumentTypeError("%r is not a rate in [0, 1]" % text)
+    return rate
+
 _AUTHORED_AT = "2026-08-18T00:00:00+00:00"
 
 _ADJ = ("Atlas", "Breeze", "Cobalt", "Drift", "Ember", "Flux", "Granite", "Halo")
@@ -315,7 +327,7 @@ def main(argv=None) -> int:
     )
     ap.add_argument("--out", default="corpus", help="corpus root directory")
     ap.add_argument("--cases", type=int, default=10, help="cases per scenario")
-    ap.add_argument("--rate", type=float, default=DEFAULT_RATE)
+    ap.add_argument("--rate", type=rate_arg, default=DEFAULT_RATE)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument(
         "--evaluate",

@@ -21,10 +21,11 @@ The executor applies the trigger cascade as it evaluates.  When every
 result of a child rule with bottom_up fails, its parent is force-adapted
 once per execution and the children are evaluated again.  When a rule
 with process_flow cannot be repaired, the next bundle page is tried,
-from plan application on.  Each rule is evaluated on the bundle page its
-parent was found on, passed down as an argument: an advance moves only
-the advancing rule and its descendants, never re-runs the parent, and
-leaves the page where it was when no later page helps.  When a rule
+from plan application on.  Each parent match is one context, which
+carries the bundle page it was found on, and its children are evaluated
+there: an advance moves only the advancing rule's contexts and their
+descendants, never re-runs the parent, and leaves the contexts where
+they were when no later page helps.  When a rule
 with top_down adapted, its direct children's adaptations are reported
 as top_down unless they opted out.
 The input wrapper value is never modified; accumulated rule changes
@@ -52,7 +53,7 @@ from wrapmend.constraints import (
     DatatypeConstraint,
     validate_results,
 )
-from wrapmend.dom import Containment, DomTree, PathError, detach_subtree, resolve
+from wrapmend.dom import Containment, DomNode, DomTree, NodePath, PathError, detach_subtree, resolve
 from wrapmend.matching import best_matches
 from wrapmend.model import MAX_NESTING, Rule, StoredExample, Wrapper
 from wrapmend.template import GeneralizeError, generalize, levels, refine, template_match
@@ -198,6 +199,20 @@ def _config_summary(rule: Rule) -> dict:
     }
 
 
+def _failure(name, trigger, notes, candidates=(), algorithm=None) -> AdaptationFailed:
+    """The error a failed repair raises, carrying its report."""
+    return AdaptationFailed(
+        AdaptationReport(
+            rule_name=name,
+            trigger=trigger,
+            algorithm=algorithm,
+            candidates=tuple(candidates),
+            succeeded=False,
+            notes=tuple(notes),
+        )
+    )
+
+
 def adapt_rule(
     rule: Rule,
     page: DomTree,
@@ -220,21 +235,8 @@ def adapt_rule(
     threshold range satisfies the constraints."""
     name = rule_path or rule.name
     cfg = rule.adaptation
-
-    def failure(notes, candidates=(), algorithm=None):
-        return AdaptationFailed(
-            AdaptationReport(
-                rule_name=name,
-                trigger=trigger,
-                algorithm=algorithm,
-                candidates=tuple(candidates),
-                succeeded=False,
-                notes=tuple(notes),
-            )
-        )
-
     if cfg is None:
-        raise failure(["rule has no adaptation config"])
+        raise _failure(name, trigger, ["rule has no adaptation config"])
     if constraints is None:
         constraints = rule.constraints
     ctxs = [None if c is None else tuple(c) for c in context_paths]
@@ -307,7 +309,7 @@ def adapt_rule(
             return rule, report, split(found)
 
     if stored is None:
-        raise failure(["no stored example to search with"])
+        raise _failure(name, trigger, ["no stored example to search with"])
     low, high = cfg.interval
 
     for algorithm in cfg.algorithms():
@@ -325,7 +327,9 @@ def adapt_rule(
         except Unsatisfiable:
             continue
     else:
-        raise failure(
+        raise _failure(
+            name,
+            trigger,
             ["no threshold in [%g, %g] yields results satisfying the constraints" % (low, high)],
             candidates=usable,
             algorithm=algorithm,
@@ -411,6 +415,18 @@ def adapt_rule(
     return new_rule, report, matches
 
 
+@dataclass(slots=True)
+class _Context:
+    """One parent match, or the document, and a rule's answer under it."""
+
+    path: Optional[NodePath]  # None is the document
+    node: Optional[DomNode]  # the node at path on page, or None to resolve it there
+    page: int  # index in ExecutionContext.pages
+    matches: Optional[list] = None  # (path, node) pairs; None while the plan is violated
+    locator: Optional[str] = None  # tag of the answering plan entry
+    status: str = "ok"  # ok | adapted | failed
+
+
 class _Executor:
     def __init__(self, wrapper: Wrapper, ctx: ExecutionContext, max_cascade_depth: int):
         self.wrapper = wrapper
@@ -423,35 +439,25 @@ class _Executor:
 
     def run(self):
         return [
-            self._eval(rule, rule.name, [(None, None)], "constraint_violation", 0)[0]
+            self._eval(rule, rule.name, [_Context(None, None, 0)], "constraint_violation")[0]
             for rule in self.wrapper.root_rules
         ]
 
     # -- adaptation bookkeeping
 
-    def _budget(self) -> int:
-        return self.max_depth * len(self.ctx.pages)
-
-    def _adapt(self, rule, rule_path, contexts, trigger, page, force=False):
-        """One counted repair; per context, (matches, None), as no locator answered."""
-        if self.attempts.get(rule_path, 0) >= self._budget():
-            report = AdaptationReport(
-                rule_name=rule_path,
-                trigger=trigger,
-                succeeded=False,
-                notes=("adaptation attempt budget exhausted",),
-            )
-            self.reports.append(report)
-            raise AdaptationFailed(report)
-        self.attempts[rule_path] = self.attempts.get(rule_path, 0) + 1
-        constraints = self.wrapper.effective_constraints(rule)
+    def _adapt(self, rule, rule_path, contexts, trigger, force=False):
+        """One counted repair on the contexts' page; each context gets its
+        share of the matches, status adapted and no locator."""
         try:
+            if self.attempts.get(rule_path, 0) >= self.max_depth * len(self.ctx.pages):
+                raise _failure(rule_path, trigger, ["adaptation attempt budget exhausted"])
+            self.attempts[rule_path] = self.attempts.get(rule_path, 0) + 1
             new_rule, report, matches = adapt_rule(
                 rule,
-                self.ctx.pages[page],
+                self.ctx.pages[contexts[0].page],
                 clock=self.ctx.clock,
-                constraints=constraints,
-                context_paths=contexts,
+                constraints=self.wrapper.effective_constraints(rule),
+                context_paths=[c.path for c in contexts],
                 trigger=trigger,
                 force=force,
                 rule_path=rule_path,
@@ -462,90 +468,82 @@ class _Executor:
         self.reports.append(report)
         if new_rule is not rule:
             self.changed[rule_path] = new_rule
-        return [(found, None) for found in matches]
+        for c, found in zip(contexts, matches):
+            c.matches, c.locator, c.status = found, None, "adapted"
 
-    def _repair(self, rule, rule_path, contexts, trigger, page):
-        """Adapt with process_flow page advances, under context paths.
-        Returns (status, per-context match lists, page the matches are on),
-        or None when everything is exhausted."""
+    def _repair(self, rule, rule_path, contexts, trigger):
+        """Adapt with process_flow page advances.  Returns the answered
+        contexts, or None when everything is exhausted.  After an advance
+        they are fresh contexts on the new page; the given ones stay as
+        the plan left them."""
         while True:
             current = self.changed.get(rule_path, rule)
             try:
-                return "adapted", self._adapt(current, rule_path, contexts, trigger, page), page
+                self._adapt(current, rule_path, contexts, trigger)
+                return contexts
             except AdaptationFailed:
-                cfg = current.adaptation
-                if "process_flow" in cfg.triggers and page + 1 < len(self.ctx.pages):
-                    page += 1
-                    # the alternate page may satisfy the plan as-is.  The
-                    # parent's nodes belong to its own page, so the context
-                    # paths are resolved on this one
-                    ok, per_ctx = self._apply_contexts(
-                        current, [(c, None) for c in contexts], page
-                    )
-                    if ok:
-                        return "ok", per_ctx, page
-                    continue
-                return None
+                page = contexts[0].page + 1
+                if "process_flow" not in current.adaptation.triggers or page == len(self.ctx.pages):
+                    return None
+                # the alternate page may satisfy the plan as-is.  The
+                # parent's nodes belong to its own page, so the context
+                # paths are resolved on this one
+                contexts = [_Context(c.path, None, page) for c in contexts]
+                if self._apply_contexts(current, contexts):
+                    return contexts
 
-    def _apply_contexts(self, rule, contexts, page):
-        """Plan results per context on one bundle page: (matches, locator
-        tag), matches being (path, node) pairs.  Contexts are (path, node)
-        pairs too, the node found on this page, or None to resolve the
-        path here.  A violated context yields None (an empty list is a
-        legitimate result under min_count 0)."""
+    def _apply_contexts(self, rule, contexts):
+        """Apply the plan under each context on its page, filling in its
+        matches and the answering locator.  A violated context keeps
+        matches None (an empty list is a legitimate result under
+        min_count 0).  Returns whether every context was satisfied."""
         constraints = self.wrapper.effective_constraints(rule)
-        tree = self.ctx.pages[page]
-        per_ctx = []
+        pages = self.ctx.pages
         ok = True
-        for c, node in contexts:
+        for c in contexts:
             try:
-                per_ctx.append(
-                    apply_plan(rule.plan, tree, constraints, context_path=c, context_node=node)
+                c.matches, c.locator = apply_plan(
+                    rule.plan,
+                    pages[c.page],
+                    constraints,
+                    context_path=c.path,
+                    context_node=c.node,
                 )
             except (PlanExhausted, PathError):
-                per_ctx.append(None)
                 ok = False
-        return ok, per_ctx
+        return ok
 
     # -- evaluation
 
-    def _eval(self, rule, rule_path, contexts, attribution, page):
-        """Evaluate one rule under the given parent contexts, the parent's
-        (path, node) matches found on bundle page `page`; (None, None) is
-        the document.  Returns a list of ExtractionResults aligned with
-        contexts."""
+    def _eval(self, rule, rule_path, contexts, attribution):
+        """Evaluate one rule under the given parent contexts.  Returns a
+        list of ExtractionResults aligned with contexts."""
         rule = self.changed.get(rule_path, rule)
         if not contexts:
             return []
-        paths = [c for c, _ in contexts]
-        ok, per_ctx = self._apply_contexts(rule, contexts, page)
-        statuses = ["ok"] * len(contexts)
-        if not ok:
+        if not self._apply_contexts(rule, contexts):
             repaired = None
             if rule.adaptation is not None:
-                repaired = self._repair(rule, rule_path, paths, attribution, page)
+                repaired = self._repair(rule, rule_path, contexts, attribution)
             if repaired is not None:
-                status, per_ctx, page = repaired
-                statuses = [status] * len(contexts)
+                contexts = repaired
                 rule = self.changed.get(rule_path, rule)
             else:
                 # salvage the contexts the plan still satisfies
-                statuses = ["ok" if found is not None else "failed" for found in per_ctx]
-                per_ctx = [found if found is not None else ((), None) for found in per_ctx]
-        if all(s == "failed" for s in statuses):
-            return [
-                ExtractionResult(rule_name=rule.name, status="failed", page=page)
-                for _ in contexts
-            ]
+                for c in contexts:
+                    if c.matches is None:
+                        c.matches, c.status = [], "failed"
 
         for attempt in (0, 1):
-            adapted = any(s == "adapted" for s in statuses)
-            flat = [m for matches, _ in per_ctx for m in matches]
+            adapted = any(c.status == "adapted" for c in contexts)
             child_results = {}
             for child in rule.children:
-                child_path = rule_path + "/" + child.name
+                # fresh contexts per child: evaluating one fills them in
                 child_results[child.name] = self._eval(
-                    child, child_path, flat, self._attr_for(rule, adapted, child), page
+                    child,
+                    rule_path + "/" + child.name,
+                    [_Context(p, node, c.page) for c in contexts for p, node in c.matches],
+                    self._attr_for(rule, adapted, child),
                 )
             if attempt == 1 or not self._needs_parent_refresh(rule, child_results):
                 break
@@ -555,31 +553,28 @@ class _Executor:
                 break
             self.forced_parents.add(rule_path)
             try:
-                per_ctx = self._adapt(rule, rule_path, paths, "bottom_up", page, force=True)
+                self._adapt(rule, rule_path, contexts, "bottom_up", force=True)
             except AdaptationFailed:
                 break
-            statuses = ["adapted"] * len(contexts)
             rule = self.changed.get(rule_path, rule)
 
-        # per match, its results under each child rule
-        kids = [()] * len(flat)
-        if rule.children:
-            kids = list(zip(*(child_results[child.name] for child in rule.children)))
+        # per match, in order, its results under each child rule
+        kids = list(zip(*(child_results[child.name] for child in rule.children)))
         results = []
         start = 0
-        for (found, tag), status in zip(per_ctx, statuses):
-            end = start + len(found)
+        for c in contexts:
+            n = len(c.matches)
             results.append(
                 ExtractionResult(
                     rule_name=rule.name,
-                    matches=tuple([(p, node.text) for p, node in found]),
-                    children=tuple(kids[start:end]),
-                    status=status,
-                    page=page,
-                    locator=tag,
+                    matches=tuple([(p, node.text) for p, node in c.matches]),
+                    children=tuple(kids[start : start + n]) if rule.children else ((),) * n,
+                    status=c.status,
+                    page=c.page,
+                    locator=c.locator,
                 )
             )
-            start = end
+            start += n
         return results
 
     def _attr_for(self, rule, adapted, child):

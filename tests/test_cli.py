@@ -359,6 +359,17 @@ class TestMutate:
     def test_missing_page_is_usage_error(self, workdir, capsys):
         assert main(["mutate", str(workdir / "nope.html")]) == 2
 
+    @pytest.mark.parametrize("rate", ["2", "-1", "nan", "half"])
+    def test_rate_outside_the_unit_interval_is_usage_error(self, workdir, capsys, rate):
+        before = sorted(workdir.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(["mutate", str(workdir / "original.html"), "--rate", rate])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith("argument --rate: %r is not a rate in [0, 1]" % rate)
+        assert "Traceback" not in err
+        assert sorted(workdir.iterdir()) == before
+
     @pytest.mark.parametrize("flag", ["--out", "--truth"])
     def test_unwritable_output_is_usage_error(self, workdir, capsys, flag):
         target = workdir / "no-such-dir" / "file"

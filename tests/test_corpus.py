@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from wrapmend.cli import main as cli_main
 from wrapmend.corpus import (
     SCENARIOS,
@@ -194,6 +196,16 @@ class TestCorpusEvaluation:
         assert rc == 0
         assert "wrote 7 cases" in capsys.readouterr().out
         assert (root / "shuffled" / "case00" / "wrapper.json").exists()
+
+    @pytest.mark.parametrize("rate", ["3", "-0.5", "nan"])
+    def test_rate_outside_the_unit_interval_is_usage_error(self, tmp_path, capsys, rate):
+        root = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(root), "--rate", rate])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith("argument --rate: %r is not a rate in [0, 1]" % rate)
+        assert not root.exists()
 
     def test_evaluate_prints_what_eval_prints(self, tmp_path, capsys):
         root = tmp_path / "out"

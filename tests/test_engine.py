@@ -523,6 +523,27 @@ class TestProcessFlow:
         # the record's children were handed its nodes, every one from its own page
         assert handed and all(handed)
 
+    def test_repair_after_an_advance_runs_on_the_alternate_page(self):
+        # no page satisfies the plan: the repair fails on the primary page
+        # and succeeds on the alternate one, where the records now live
+        w = build_wrapper(record_triggers=("process_flow",))
+        ctx = ExecutionContext(
+            pages=(parse_html(EMPTY_HTML, source_id="p0"), parse_html(WRAPPED_HTML, source_id="p1"))
+        )
+        results, reports, new_w = execute_wrapper(w, ctx)
+        (rec,) = results
+        assert (rec.status, rec.page, rec.locator) == ("adapted", 1, None)
+        assert [p for p, _ in rec.matches] == [ITEM0, ITEM1]
+        kids = [kid for kids in rec.children for kid in kids]
+        assert [(kid.status, kid.page) for kid in kids] == [("ok", 1)] * 4
+        assert [kid.matches[0][1] for kid in kids] == ["Alpha", "10.00", "Beta", "20.00"]
+        assert [(r.rule_name, r.succeeded) for r in reports] == [
+            ("record", False),
+            ("record", True),
+        ]
+        assert new_w is not None and new_w.version == 2
+        assert new_w.find_rule("record").stored_example.captured_from == "p1"
+
     def test_single_page_bundle_just_fails(self):
         w = build_wrapper(record_triggers=("process_flow",))
         ctx = ctx_for(EMPTY_HTML)

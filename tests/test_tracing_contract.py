@@ -3,12 +3,14 @@ the module global through which the layer above calls it.  A refactor
 that renames or bypasses such a call site would leave its span silently
 at zero; these tests fail instead.  The benchmark also keeps its own copy
 of the page-status rule (perfbench/workloads.py), which must agree with
-the library's."""
+the library's.  The last test runs the tracer itself over the engine's
+real calls, as a traced benchmark pass does."""
 
 import importlib
 import importlib.util
 import pathlib
 import random
+from collections import Counter
 
 import wrapmend.engine
 import wrapmend.xpath
@@ -93,3 +95,39 @@ def test_benchmark_status_rule_is_the_library_rule():
             assert overall_status(results, new_wrapper) == status
             seen.add(status)
     assert seen == {"ok", "adapted", "failed"}
+
+
+def test_the_benchmark_tracer_runs_over_the_corpus_scenarios():
+    tracing = perfbench_module("tracing")
+    page = parse_html(generate_page(random.Random(1)))
+    wrapper = author_wrapper(page)
+    bundles = [
+        ExecutionContext(
+            pages=(mutate_tree(page, MutationSpec(operations=ops, seed=1, rate=0.3))[0],)
+        )
+        for _, ops in SCENARIOS
+    ]
+
+    def run_all():
+        return [[r.to_dict() for r in execute_wrapper(wrapper, b)[0]] for b in bundles]
+
+    untraced = run_all()
+    originals = {
+        (module, attr): getattr(importlib.import_module(module), attr)
+        for _, module, attr in tracing.CALL_SITES
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # notes run in each traced call's `finally`: one that raised would
+        # replace the call's outcome and end the run here
+        traced = run_all()
+    finally:
+        tracer.uninstall()
+    for (module, attr), original in originals.items():
+        assert getattr(importlib.import_module(module), attr) is original, (module, attr)
+    assert traced == untraced
+    calls = Counter(name for name, *_ in tracer.spans)
+    notes = Counter((name, key) for name, *_, note in tracer.spans for key in (note or {}))
+    assert notes["xpath.apply_plan", "exhausted"] > 0
+    assert calls["engine.adapt_rule"] > 0
