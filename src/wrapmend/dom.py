@@ -12,11 +12,12 @@ the value), and end tags.  That covers what serialize writes, script and
 style aside, and what corpus.generate_page writes.  No token of the
 subset holds "<", so the loop splits the source once at "<": each piece
 is one tag and the text up to the next tag.  A listing repeats a few
-tag texts hundreds of times, so the loop reads each distinct tag text
-(the piece up to its first ">") once per page with the _TAG regex and
-memoizes the finished token; a value holding ">" is read again each
-time.  From the first piece outside the subset, or from a script or
-style start tag, html.parser reads the rest of the page.
+tag texts hundreds of times, and pages of one site share them, so the
+loop reads each distinct tag text (the piece up to its first ">") once
+with the _TAG regex and memoizes the finished token across pages; a
+value holding ">" is read again each time.  From the first piece
+outside the subset, or from a script or style start tag, html.parser
+reads the rest of the page.
 
 The loop inlines the tree-building rules of the handlers that
 html.parser calls, so the two must build the same tree.  The
@@ -118,6 +119,14 @@ def _collapse_ws(s: str) -> str:
     return " ".join(s.split())
 
 
+# raw tag text -> _token(m), shared by every parse.  A token is never
+# changed (each node copies its attributes dict), so a hit builds what a
+# fresh read would.  Cleared when it grows past _TOKEN_MEMO_SIZE entries,
+# so pages of many sites cannot grow it without bound.
+_token_memo: dict = {}
+_TOKEN_MEMO_SIZE = 4096
+
+
 @dataclass(eq=False, init=False)
 class DomNode:
     """One element.  A node does not know where it sits: its position is
@@ -211,14 +220,18 @@ class _TreeBuilder(HTMLParser):
         push, pop = stack.append, stack.pop
         match = _TAG.match
         count = self.count
-        # raw tag text -> _token(m), for this page only.  Attribute values
-        # pair the quotes of a tag text in order, so a match that ends at
-        # the text's first ">" ends there whatever follows it.
-        memo = {}
+        # Attribute values pair the quotes of a tag text in order, so a
+        # match that ends at the text's first ">" ends there whatever
+        # follows it.
+        memo = _token_memo
+        if len(memo) > _TOKEN_MEMO_SIZE:
+            memo.clear()
         last = len(pieces)
         text = pieces[0]
         for i in range(1, last + 1):
-            if text:
+            # whitespace-only text collapses to nothing: str.split and
+            # str.isspace agree on what whitespace is
+            if text and not text.isspace():
                 if "&" in text:
                     text = unescape(text)
                 seg = _collapse_ws(text)

@@ -39,6 +39,17 @@ from the page, whatever thresholds it tries, and answers like a plan,
 with (path, node) matches per context.  Children get their parent's
 nodes, so their plans resolve no context from the root; a process_flow
 advance looks the paths up again on its own page.
+
+Rules that repair on one page share the work that does not depend on
+which rule asks, for one execute_wrapper call and per bundle page: the
+ranked candidates of a stored example (keyed on its labeled shape, the
+labeler, the algorithm and the interval's low end), the fold of admitted
+record roots into a template (keyed on the starting template, or the
+stored example's shape when there is none, the labeler and the roots),
+and the page's anchors.  A record's field rules store the same record,
+so on a drifted page they score and fold it once.  The fold refines each
+distinct root shape once, and each rule still checks the folded
+template against its own nesting room.  Nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -54,10 +65,11 @@ from wrapmend.constraints import (
     validate_results,
 )
 from wrapmend.dom import Containment, DomNode, DomTree, NodePath, PathError, detach_subtree, resolve
+from wrapmend.kernels import _key_function
 from wrapmend.matching import best_matches
 from wrapmend.model import MAX_NESTING, Rule, StoredExample, Wrapper
 from wrapmend.template import GeneralizeError, generalize, levels, refine, template_match
-from wrapmend.xpath import PlanExhausted, XPathError, apply_plan, generate_plan
+from wrapmend.xpath import PlanExhausted, XPathError, apply_plan, detect_anchors, generate_plan
 
 
 class Unsatisfiable(ValueError):
@@ -179,9 +191,10 @@ def page_status(results, new_wrapper) -> str:
 def threshold_search(scores, interval, accept):
     """Highest threshold that `accept` takes.  Candidates are the distinct
     scores inside the (low, high) interval plus its endpoints, tried
-    highest first; `accept(t)` returns None to reject t.  Returns
-    (threshold, accept's result).  Score order does not affect the
-    result."""
+    highest first; `accept(t)` returns None to reject t, or raises
+    Unsatisfiable to end the search when no lower threshold can be taken
+    either.  Returns (threshold, accept's result).  Score order does not
+    affect the result."""
     low, high = interval
     for t in sorted({s for s in scores if low <= s <= high} | {low, high}, reverse=True):
         admitted = accept(t)
@@ -213,6 +226,98 @@ def _failure(name, trigger, notes, candidates=(), algorithm=None) -> AdaptationF
     )
 
 
+def _shape(node: DomNode, labeler) -> tuple:
+    """A subtree's labeled shape: each node's key and child count, in
+    document order.  The key is the one the matching kernels compare,
+    which tells labels apart at least as finely as the labeler's label
+    strings.  So subtrees of one shape score alike against any page, and a template
+    accepts both or neither, whatever their text and other attributes."""
+    key = _key_function(labeler)
+    shape = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        children = n.children
+        shape += (key(n), len(children))
+        if children:
+            stack.extend(reversed(children))
+    return tuple(shape)
+
+
+def _fold(template, stored: DomNode, roots, labeler):
+    """(template, action) after folding matched roots into a template, or
+    into the stored example generalized with the first root when there is
+    none yet.  refine returns the template object unchanged when it
+    accepts a root, so a root is skipped when that same object already
+    accepted a root of its shape; after a merge every shape is refined
+    again."""
+    action = "refined"
+    if template is None:
+        template = generalize(stored, roots[0], labeler)
+        roots = roots[1:]
+        action = "created"
+    start = template
+    accepted = set()  # shapes the template object in hand accepted
+    for m in roots:
+        shape = _shape(m, labeler)
+        if shape in accepted:
+            continue
+        refined = refine(template, m, labeler)
+        if refined is template:
+            accepted.add(shape)
+        else:
+            template, accepted = refined, set()
+    if action == "refined" and template is start:
+        action = "none"
+    return template, action
+
+
+class _PageWork:
+    """Repair work that depends on the page and not on the rule asking:
+    the ranked candidates of a stored example, the fold of admitted roots
+    into a template, and the page's anchors.  Every rule holds its own
+    copy of its stored example and template, so the work is keyed on
+    content: labeled shapes, templates by value and root paths."""
+
+    def __init__(self, page: DomTree):
+        self.page = page
+        self._ranked = {}
+        self._folds = {}
+        self._anchors = None
+
+    def ranked(self, stored: DomNode, shape, labeler, algorithm, min_score) -> list:
+        """best_matches of the stored subtree, whose _shape is given.  The
+        list is shared: callers copy before they filter."""
+        key = (shape, labeler, algorithm, min_score)
+        found = self._ranked.get(key)
+        if found is None:
+            found = self._ranked[key] = best_matches(
+                stored, self.page, labeler, algorithm=algorithm, min_score=min_score
+            )
+        return found
+
+    def fold(self, template, stored: DomNode, shape, roots, root_paths, labeler):
+        """_fold's result, or its GeneralizeError raised again.  The
+        stored example's shape counts only while there is no template."""
+        key = (template, shape if template is None else None, labeler, tuple(root_paths))
+        done = self._folds.get(key)
+        if done is None:
+            try:
+                done = _fold(template, stored, roots, labeler)
+            except GeneralizeError as e:
+                done = e
+            self._folds[key] = done
+        if isinstance(done, GeneralizeError):
+            raise GeneralizeError(*done.args)
+        return done
+
+    def anchors(self) -> list:
+        """detect_anchors of the page, walked for once."""
+        if self._anchors is None:
+            self._anchors = detect_anchors(self.page)
+        return self._anchors
+
+
 def adapt_rule(
     rule: Rule,
     page: DomTree,
@@ -223,16 +328,23 @@ def adapt_rule(
     trigger: str = "constraint_violation",
     force: bool = False,
     rule_path: Optional[str] = None,
+    page_work: Optional[_PageWork] = None,
 ):
     """Run the repair pipeline for one rule on one page.  clock, when
     given, returns the ISO timestamp a new stored example records.
     context_paths are the parent matches to search under; None stands
-    for the whole document.
+    for the whole document.  page_work, from the executor, holds the work
+    earlier repairs on this page did that this one can reuse; a direct
+    call does its own.
     Returns (new rule, report, matches); the rule comes back identical
     when a template rescue sufficed.  matches holds the admitted targets
     per context as (path, node) pairs in document order, as a plan
     answers.  Raises AdaptationFailed when nothing in the allowed
     threshold range satisfies the constraints."""
+    if page_work is None:
+        page_work = _PageWork(page)
+    elif page_work.page is not page:
+        raise ValueError("page_work belongs to another page")
     name = rule_path or rule.name
     cfg = rule.adaptation
     if cfg is None:
@@ -255,39 +367,44 @@ def adapt_rule(
     residual = stored.residual_path if stored is not None else ()
 
     holding = Containment(ctxs)
-    # candidate path -> (root, target, node), or False when the residual
-    # does not resolve: threshold_search admits growing prefixes of one
-    # ranked list, so each path is resolved once per repair
+    # candidate path -> (path, root, target, node), or False when the
+    # residual does not resolve: threshold_search admits growing prefixes
+    # of one ranked list, so each path is resolved once per repair
     landed = {}
 
-    def admit(paths):
-        """(root node, target, node) for every path whose residual
-        resolves, or None when that set breaks the constraints."""
+    def admit(paths, growing=False):
+        """(path, root node, target, node) for every path whose residual
+        resolves, or None when that set breaks the constraints.  growing
+        says each call passes a superset of the last: a set no superset
+        can mend, with a datatype failing or more targets than the
+        cardinality allows, then raises Unsatisfiable."""
         found = []
         for p in paths:
             hit = landed.get(p)
             if hit is None:
                 try:
                     root = resolve(page, p)
-                    hit = (root, p + residual, resolve(root, residual))
+                    hit = (p, root, p + residual, resolve(root, residual))
                 except PathError:
                     hit = False  # matched subtree too shallow for the residual
                 landed[p] = hit
             if hit:
                 found.append(hit)
-        results = [(target, node.text) for _, target, node in found]
-        if (
-            found
-            and all(c.admits(len(found)) for c in card)
-            and not validate_results(results, data)
-        ):
-            return found
+        n = len(found)
+        if n and all(c.admits(n) for c in card):
+            if not validate_results([(t, node.text) for _, _, t, node in found], data):
+                return found
+            hopeless = True
+        else:
+            hopeless = any(c.max_count is not None and n > c.max_count for c in card)
+        if growing and hopeless:
+            raise Unsatisfiable("%d admitted targets break the constraints" % n)
         return None
 
     def split(found):
         """The admitted targets per context, (path, node) in document order."""
         per_ctx = [[] for _ in ctxs]
-        for _, target, node in sorted(found, key=itemgetter(1)):
+        for _, _, target, node in sorted(found, key=itemgetter(2)):
             for i in holding.holders(target):
                 per_ctx[i].append((target, node))
         return per_ctx
@@ -302,7 +419,7 @@ def adapt_rule(
             report = AdaptationReport(
                 rule_name=name,
                 trigger=trigger,
-                resolved=tuple(t for _, t, _ in found),
+                resolved=tuple(t for _, _, t, _ in found),
                 succeeded=True,
                 notes=("template matched; no further action",),
             )
@@ -311,17 +428,16 @@ def adapt_rule(
     if stored is None:
         raise _failure(name, trigger, ["no stored example to search with"])
     low, high = cfg.interval
+    shape = _shape(stored.subtree, cfg.labeler)
 
     for algorithm in cfg.algorithms():
-        ranked = best_matches(
-            stored.subtree, page, cfg.labeler, algorithm=algorithm, min_score=low
-        )
+        ranked = page_work.ranked(stored.subtree, shape, cfg.labeler, algorithm, low)
         usable = [c for c in ranked if holding.holders(c.path)]
         try:
             chosen, resolved = threshold_search(
                 [c.score for c in usable],
                 cfg.interval,
-                lambda t: admit([c.path for c in usable if c.score >= t]),
+                lambda t: admit([c.path for c in usable if c.score >= t], growing=True),
             )
             break
         except Unsatisfiable:
@@ -338,20 +454,15 @@ def adapt_rule(
     notes = []
 
     # 2. fold the matched shapes into the template
-    new_template = rule.template
-    template_action = "none"
-    matched_roots = [root for root, _, _ in resolved]
     try:
-        if new_template is None:
-            new_template = generalize(stored.subtree, matched_roots[0], cfg.labeler)
-            for m in matched_roots[1:]:
-                new_template = refine(new_template, m, cfg.labeler)
-            template_action = "created"
-        else:
-            before = new_template
-            for m in matched_roots:
-                new_template = refine(new_template, m, cfg.labeler)
-            template_action = "refined" if new_template is not before else "none"
+        new_template, template_action = page_work.fold(
+            rule.template,
+            stored.subtree,
+            shape,
+            [root for _, root, _, _ in resolved],
+            [p for p, _, _, _ in resolved],
+            cfg.labeler,
+        )
         # the file nests a rule's template one level below the rule
         room = MAX_NESTING - (name.count("/") + 1)
         span = levels(new_template)
@@ -367,7 +478,7 @@ def adapt_rule(
     new_plan = rule.plan
     matches = split(resolved)
     if cfg.update_stored:
-        top, top_target, _ = resolved[0]
+        _, top, top_target, _ = resolved[0]
         new_stored = StoredExample(
             subtree=detach_subtree(top),
             residual_path=stored.residual_path,
@@ -386,6 +497,7 @@ def adapt_rule(
                 top_target,
                 context_path=ctxs[first],
                 cohort=plan_targets if len(plan_targets) > 1 else None,
+                anchors=page_work.anchors(),
             )
         except XPathError as e:
             notes.append("plan kept: %s" % (e,))
@@ -408,7 +520,7 @@ def adapt_rule(
             "before": _config_summary(rule),
             "after": _config_summary(new_rule),
         },
-        resolved=tuple(t for _, t, _ in resolved),
+        resolved=tuple(t for _, _, t, _ in resolved),
         succeeded=True,
         notes=tuple(notes),
     )
@@ -436,6 +548,8 @@ class _Executor:
         self.changed = {}  # rule path -> adapted Rule
         self.attempts = {}  # rule path -> adaptation attempts
         self.forced_parents = set()
+        # per bundle page, the repair work rules share on it, for this call only
+        self.page_work = [_PageWork(page) for page in ctx.pages]
 
     def run(self):
         return [
@@ -452,15 +566,17 @@ class _Executor:
             if self.attempts.get(rule_path, 0) >= self.max_depth * len(self.ctx.pages):
                 raise _failure(rule_path, trigger, ["adaptation attempt budget exhausted"])
             self.attempts[rule_path] = self.attempts.get(rule_path, 0) + 1
+            work = self.page_work[contexts[0].page]
             new_rule, report, matches = adapt_rule(
                 rule,
-                self.ctx.pages[contexts[0].page],
+                work.page,
                 clock=self.ctx.clock,
                 constraints=self.wrapper.effective_constraints(rule),
                 context_paths=[c.path for c in contexts],
                 trigger=trigger,
                 force=force,
                 rule_path=rule_path,
+                page_work=work,
             )
         except AdaptationFailed as e:
             self.reports.append(e.report)

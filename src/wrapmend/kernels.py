@@ -103,15 +103,16 @@ def score_against_page(stored: DomNode, page: DomTree, labeler, algorithm: str) 
     root's label.  Weighted scores are the sibling-weighted similarity;
     simple scores are normalized match counts, 2*STM / (|a| + |b|).
     Document order."""
-    key = labeler.key(stored)
-    # a candidate's full key equals the root's, so its program key does too
+    # _key_function keeps every key component the labeler compares, so
+    # equal program keys are equal full keys
     program_key = _key_function(labeler)
+    key = program_key(stored)
     walk = list(_walk(page.root))
     if algorithm == "weighted":
         return [
             (path, _match_eq(stored, node, program_key, True))
             for path, node in walk
-            if labeler.key(node) == key
+            if program_key(node) == key
         ]
     # subtree sizes of the whole page in one pass: children precede their
     # parent in reverse document order
@@ -122,5 +123,5 @@ def score_against_page(stored: DomNode, page: DomTree, labeler, algorithm: str) 
     return [
         (path, 2.0 * _match_eq(stored, node, program_key, False) / (size_a + sizes[id(node)]))
         for path, node in walk
-        if labeler.key(node) == key
+        if program_key(node) == key
     ]

@@ -77,7 +77,7 @@ class Labeler:
 DEFAULT_LABELER = Labeler()
 
 
-@dataclass
+@dataclass(frozen=True)
 class RankedCandidate:
     path: NodePath
     score: float

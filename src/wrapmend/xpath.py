@@ -415,6 +415,7 @@ def generate_plan(
     target: NodePath,
     context_path: Optional[NodePath] = None,
     cohort=None,
+    anchors=None,
 ) -> FallbackPlan:
     """Build a prioritized locator plan for one node.
 
@@ -426,6 +427,9 @@ def generate_plan(
     A rule that legitimately matches several nodes (a record list) passes
     the full set as `cohort`; locators then must select exactly that set,
     and per-node heuristics (id, trailing index) adjust or drop out.
+
+    `anchors` is detect_anchors(tree), passed by a caller that plans
+    several targets on one page; by default the page is walked for them.
     """
     target = tuple(target)
     node = resolve(tree, target)
@@ -491,7 +495,7 @@ def generate_plan(
 
     # 5. anchor-relative
     prio_anchor = PRIO_ANCHOR
-    for anchor in detect_anchors(tree):
+    for anchor in detect_anchors(tree) if anchors is None else anchors:
         if prio_anchor >= PRIO_POSITIONAL:
             break
         apath = anchor.path

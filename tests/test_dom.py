@@ -53,6 +53,9 @@ MALFORMED = (
     # the same text up to the first ">", but only the second is a whole tag
     '<p><a title="x>y">1</a><a title="x">2</a><a title="x>y">3</a><a title="x">4</a></p>',
     "<DIV>a<DIV>b</DIV>c</div><DIV>d</DIV>",
+    # indentation-only text, and Unicode spaces alone and inside text
+    "<div>\n    \n  <p>x</p>\n\t\n</div>\n",
+    "<div>\xa0<p>\u2003</p>\xa0\u2003\n<p>a\u2003b\xa0 c</p>\u2003</div>",
 )
 
 
@@ -478,8 +481,8 @@ class TestTokenizer:
 
     def test_each_distinct_tag_text_is_read_once(self, monkeypatch):
         # a listing repeats a few tag texts hundreds of times; the parser
-        # reads each once per page.  If it read every tag, parsing would
-        # still be right but much slower
+        # reads each once, and keeps it for later pages.  If it read every
+        # tag, parsing would still be right but much slower
         listing = generate_page(random.Random(0))
         calls = []
         match = dom._TAG.match
@@ -508,6 +511,25 @@ class TestTokenizer:
         again = parse_html(source).root.children[0].children
         assert [li.attributes for li in again] == [{"class": "a"}] * 3
         assert len({id(li.attributes) for li in again}) == 3
+
+    def test_a_later_page_gets_its_own_attribute_values(self):
+        # tag tokens are memoized across pages: a tag text that differs
+        # only in a value is its own token
+        first = parse_html('<ul><li class="a" id="x">1</li></ul>')
+        second = parse_html('<ul><li class="b" id="x">1</li></ul>')
+        assert first.root.children[0].children[0].attributes == {"class": "a", "id": "x"}
+        assert second.root.children[0].children[0].attributes == {"class": "b", "id": "x"}
+
+    def test_the_token_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(dom, "_TOKEN_MEMO_SIZE", 8)
+        for page in range(5):
+            source = "".join('<p class="c%d-%d">x</p>' % (page, i) for i in range(6))
+            tree = parse_html(source)
+            assert [p.attributes["class"] for p in tree.root.children] == [
+                "c%d-%d" % (page, i) for i in range(6)
+            ]
+            # cleared before a page once past the bound, then one page's tags
+            assert len(dom._token_memo) <= 8 + 7
 
     def test_handover_is_used_outside_the_subset(self, monkeypatch):
         fed = []

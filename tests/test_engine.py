@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +12,11 @@ from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint
 from wrapmend.corpus import SCENARIOS, author_wrapper, generate_page
 from wrapmend.dom import (
     Containment,
+    DomNode,
     DomTree,
     enumerate_subtrees,
     inside,
+    detach_subtree,
     parse_html,
     resolve,
     serialize,
@@ -26,11 +29,11 @@ from wrapmend.engine import (
     execute_wrapper,
     threshold_search,
 )
-from wrapmend.matching import best_matches
+from wrapmend.matching import Labeler, best_matches
 from wrapmend.model import AdaptationConfig, Rule, Wrapper, capture_example, wrapper_to_dict
 from wrapmend.mutate import MutationSpec, mutate_tree
 from wrapmend.repo import WrapperStore
-from wrapmend.template import template_from_tree
+from wrapmend.template import generalize, template_from_tree
 from wrapmend.xpath import FallbackPlan, PlanEntry, parse_xpath
 
 from conftest import random_node
@@ -759,6 +762,204 @@ class TestRepairWorkGrowth:
         report = self.repair_listing(monkeypatch, 10, patch)
         assert from_page
         assert len(from_page) <= len(report.candidates), (len(from_page), len(report.candidates))
+
+
+class TestHopelessSearch:
+    """Admitted sets only grow as the threshold falls, so a search stops
+    at the first set that no lower threshold can mend."""
+
+    def test_a_datatype_failure_ends_the_search(self, monkeypatch):
+        html = sized_listing(10)
+        price = author_wrapper(parse_html(html)).find_rule("record/price")
+        # one record's name span twice: price's residual (1,) lands on a name
+        at = html.index('<span class="name">')
+        span = html[at : html.index("</span>", at) + len("</span>")]
+        page = parse_html(html[:at] + span + html[at:])
+        records = [p for p, n in enumerate_subtrees(page) if n.attributes.get("class") == "record"]
+        searches = []  # (thresholds, accept calls) per threshold_search
+        search = engine.threshold_search
+
+        def counting(scores, interval, accept):
+            low, high = interval
+            calls = []
+
+            def counted(t):
+                calls.append(t)
+                return accept(t)
+
+            try:
+                return search(scores, interval, counted)
+            finally:
+                searches.append((len({s for s in scores if low <= s <= high} | {low, high}), len(calls)))
+
+        monkeypatch.setattr(engine, "threshold_search", counting)
+        with pytest.raises(AdaptationFailed) as exc:
+            adapt_rule(price, page, context_paths=records, clock=lambda: "t")
+        assert "no threshold in [0.4, 0.95]" in exc.value.report.notes[0]
+        assert searches and all(calls < thresholds for thresholds, calls in searches), searches
+
+
+class TestSharedRepairWork:
+    """Rules that repair on one page share its ranked candidates, template
+    folds and anchors; each still repairs as it would alone."""
+
+    @pytest.mark.parametrize("operations", [ops for _, ops in SCENARIOS], ids=[n for n, _ in SCENARIOS])
+    def test_each_scenario_repairs_as_its_rules_would_alone(self, monkeypatch, operations):
+        adapt = engine.adapt_rule
+
+        def alone(*args, page_work=None, **kwargs):
+            return adapt(*args, **kwargs)
+
+        for seed in range(4):
+            intact = parse_html(generate_page(random.Random(seed)))
+            wrapper = author_wrapper(intact)
+            # two damaged pages, so that process_flow advances repair on
+            # the second with its own page work
+            pages = tuple(
+                mutate_tree(intact, MutationSpec(operations=operations, seed=s, rate=0.3))[0]
+                for s in (seed, seed + 10)
+            )
+            ctx = ExecutionContext(pages=pages, clock=lambda: "t")
+            results, reports, new = execute_wrapper(wrapper, ctx)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "adapt_rule", alone)
+                solo_results, solo_reports, solo_new = execute_wrapper(wrapper, ctx)
+            assert [r.to_dict() for r in reports] == [r.to_dict() for r in solo_reports]
+            assert [r.to_dict() for r in results] == [r.to_dict() for r in solo_results]
+            assert new == solo_new
+
+    def best_matches_calls(self, monkeypatch, **price_changes):
+        """engine.best_matches calls while name and price repair on one page,
+        price's adaptation config changed as given."""
+        wrapper = build_wrapper().map_rules(
+            lambda path, rule: replace(rule, adaptation=replace(rule.adaptation, **price_changes))
+            if path == "record/price"
+            else rule
+        )
+        html = ORIGINAL_HTML.replace('"name"', '"title"').replace('"price"', '"cost"')
+        calls = []
+        ranked = engine.best_matches
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ranked(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "best_matches", counted)
+        _, reports, _ = execute_wrapper(wrapper, ctx_for(html))
+        assert [r.rule_name for r in reports] == ["record/name", "record/price"]
+        return len(calls)
+
+    def test_equal_stored_examples_are_scored_once(self, monkeypatch):
+        assert self.best_matches_calls(monkeypatch) == 1
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            # no node of the stored example has an id: its shape is the same
+            {"labeler": Labeler(use_id_attribute=True)},
+            {"algorithm": "simple"},
+            {"threshold": (0.5, 0.95)},
+        ],
+        ids=["labeler", "algorithm", "interval_low"],
+    )
+    def test_a_different_scoring_is_scored_again(self, monkeypatch, changes):
+        assert self.best_matches_calls(monkeypatch, **changes) == 2
+
+    @pytest.mark.parametrize(
+        "part", ["stored_shape", "template", "labeler", "roots"]
+    )
+    def test_a_rule_differing_in_one_key_part_repairs_as_alone(self, part):
+        """name repairs on a page, then a copy of it differing in one part
+        of the shared work's keys repairs with the same page work."""
+        page = parse_html(
+            ORIGINAL_HTML.replace("20.00</span>", "20.00</span><b>new</b>")
+        )  # the second record has an extra child
+        first = build_wrapper().find_rule("record/name")
+        stored = first.stored_example
+        exact = template_from_tree(stored.subtree)
+        first_kw = second_kw = {"context_paths": [REC0, REC1]}
+        if part == "stored_shape":
+            extra = detach_subtree(stored.subtree)
+            extra.children.append(DomNode("i"))
+            second = replace(first, stored_example=replace(stored, subtree=extra))
+        elif part == "template":
+            first = replace(first, template=exact)
+            extra = detach_subtree(stored.subtree)
+            extra.children.append(DomNode("i"))
+            second = replace(first, template=generalize(stored.subtree, extra))
+        elif part == "labeler":
+            first = replace(first, template=exact)
+            labeler = Labeler(use_class_attribute=True)
+            second = replace(first, adaptation=replace(first.adaptation, labeler=labeler))
+        else:
+            second = first
+            second_kw = {"context_paths": [REC0]}
+
+        def outcome(rule, work=None, **kwargs):
+            try:
+                new_rule, report, matches = adapt_rule(
+                    rule, page, force=True, clock=lambda: "t", page_work=work, **kwargs
+                )
+            except AdaptationFailed as e:
+                return e.report.to_dict(), None, None
+            return report.to_dict(), new_rule, [[p for p, _ in m] for m in matches]
+
+        def learned(result):
+            """What the shared work decides: ranking, threshold and fold."""
+            report, rule, _ = result
+            return (
+                report["candidates"],
+                report["chosen_threshold"],
+                report["template_action"],
+                report["notes"],
+                rule and rule.template,
+            )
+
+        work = engine._PageWork(page)
+        before = outcome(first, work, **first_kw)
+        alone = outcome(second, **second_kw)
+        assert outcome(second, work, **second_kw) == alone
+        # the part changes what is learned, so reusing first's work would show
+        assert learned(alone) != learned(before)
+
+    def test_each_rule_gets_its_own_nesting_verdict_from_a_shared_fold(self, monkeypatch):
+        # records holding a 97-deep chain learn a 98-level template: room
+        # for it under record/name, one level short under record/box/name
+        chain = "<div>" * 97 + "deep" + "</div>" * 97
+
+        def listing(cls):
+            return parse_html(
+                '<html><body><div id="main">%s</div></body></html>'
+                % "".join(
+                    '<div class="%s"><span class="name">N%d</span>'
+                    '<span class="price">%d.00</span>%s</div>' % (cls, i, i, chain)
+                    for i in range(3)
+                )
+            )
+
+        name = author_wrapper(listing("record")).find_rule("record/name")
+        page = listing("item")
+        records = [p for p, n in enumerate_subtrees(page) if n.attributes.get("class") == "item"]
+        generalized = []
+        generalize = engine.generalize
+        monkeypatch.setattr(engine, "generalize", lambda *a: generalized.append(a) or generalize(*a))
+        for order in (("record/name", "record/box/name"), ("record/box/name", "record/name")):
+            work = engine._PageWork(page)
+            verdicts = {}
+            for rule_path in order:
+                new_rule, report, _ = adapt_rule(
+                    name, page, context_paths=records, rule_path=rule_path, page_work=work, clock=lambda: "t"
+                )
+                verdicts[rule_path] = (report.template_action, report.notes, new_rule.template is None)
+            assert verdicts == {
+                "record/name": ("created", (), False),
+                "record/box/name": (
+                    "none",
+                    ("template not updated: it would nest 98 deep, more than 97",),
+                    True,
+                ),
+            }
+        assert len(generalized) == 2  # one fold per page, shared by both paths
 
 
 @st.composite
