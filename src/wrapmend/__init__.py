@@ -59,7 +59,6 @@ from wrapmend.model import (
     load_wrapper,
     save_wrapper,
     wrapper_from_dict,
-    wrapper_to_dict,
 )
 from wrapmend.mutate import MutationSpec, mutate_tree
 from wrapmend.repo import (

@@ -41,14 +41,6 @@ class CardinalityConstraint:
         return {"kind": "cardinality", "min": self.min_count, "max": self.max_count}
 
 
-def exactly_one() -> CardinalityConstraint:
-    return CardinalityConstraint(1, 1)
-
-
-def at_least_one() -> CardinalityConstraint:
-    return CardinalityConstraint(1, None)
-
-
 @dataclass(frozen=True)
 class DatatypeConstraint:
     """The owned text of every matched node must parse as the datatype.

@@ -15,6 +15,7 @@ import argparse
 import json
 import pathlib
 import random
+import sys
 from dataclasses import replace
 
 from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint
@@ -271,6 +272,13 @@ class CaseError(Exception):
     """A corpus case whose files cannot be read; the message names it."""
 
 
+def _truth_path(value) -> tuple:
+    """A node path from truth.json: a list of child indices."""
+    if type(value) is not list or not all(type(i) is int for i in value):
+        raise TypeError("not a node path: %r" % (value,))
+    return tuple(value)
+
+
 def evaluate_case(case_dir, algorithm: str = "weighted"):
     """(tp, fp, fn) for one case: run the wrapper on the mutated page and
     compare against the mapped expected targets."""
@@ -279,20 +287,23 @@ def evaluate_case(case_dir, algorithm: str = "weighted"):
         wrapper = with_algorithm(load_wrapper(case_dir / "wrapper.json"), algorithm)
         mutated = read_page(case_dir / "mutated.html", source_id="mutated")
         truth = json.loads((case_dir / "truth.json").read_bytes())
-        mapping, expected = truth["mapping"], truth["expected"]
-    except (OSError, ValueError, LookupError, TypeError) as e:
+        # original path string -> mutated path, for nodes that were kept
+        mapping = {
+            old: _truth_path(new) for old, new in truth["mapping"].items() if new is not None
+        }
+        expected = {
+            rule: [path_to_str(_truth_path(p)) for p in paths]
+            for rule, paths in truth["expected"].items()
+        }
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
         raise CaseError("cannot read case %s: %s" % (case_dir, e))
 
     results, _, _ = execute_wrapper(wrapper, ExecutionContext(pages=(mutated,)))
     resolved = flatten_results(results)
 
     tp = fp = fn = 0
-    for rule, exp_paths in expected.items():
-        mapped = set()
-        for p in exp_paths:
-            new = mapping.get(path_to_str(tuple(p)))
-            if new is not None:
-                mapped.add(tuple(new))
+    for rule, originals in expected.items():
+        mapped = {mapping[p] for p in originals if p in mapping}
         got = set(resolved.get(rule, ()))
         tp += len(got & mapped)
         fp += len(got - mapped)
@@ -335,7 +346,11 @@ def main(argv=None) -> int:
         help="score the corpus after building it, as `wrapmend eval` prints it",
     )
     args = ap.parse_args(argv)
-    written = build_corpus(args.out, cases=args.cases, rate=args.rate, seed=args.seed)
+    try:
+        written = build_corpus(args.out, cases=args.cases, rate=args.rate, seed=args.seed)
+    except OSError as e:
+        print("%s: cannot write corpus: %s" % (ap.prog, e), file=sys.stderr)
+        return 2
     print("wrote %d cases under %s" % (len(written), args.out))
     if args.evaluate:
         for algorithm in ("weighted", "simple"):

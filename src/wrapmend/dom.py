@@ -191,9 +191,6 @@ class DomTree:
         if self.node_count == 0:
             self.node_count = subtree_size(self.root)
 
-    def resolve(self, path: NodePath) -> DomNode:
-        return resolve(self, path)
-
     def __eq__(self, other):
         if not isinstance(other, DomTree):
             return NotImplemented

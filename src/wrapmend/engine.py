@@ -41,15 +41,17 @@ nodes, so their plans resolve no context from the root; a process_flow
 advance looks the paths up again on its own page.
 
 Rules that repair on one page share the work that does not depend on
-which rule asks, for one execute_wrapper call and per bundle page: the
-ranked candidates of a stored example (keyed on its labeled shape, the
-labeler, the algorithm and the interval's low end), the fold of admitted
-record roots into a template (keyed on the starting template, or the
-stored example's shape when there is none, the labeler and the roots),
-and the page's anchors.  A record's field rules store the same record,
-so on a drifted page they score and fold it once.  The fold refines each
+which rule asks, for one execute_wrapper call and per bundle page, in one
+memo that computes each content key once (_PageWork.once): the ranked
+candidates of a stored example (keyed on its labeled shape, the labeler,
+the algorithm and the interval's low end), the fold of admitted record
+roots into a template (keyed on the starting template, or the stored
+example's shape when there is none, the labeler and the roots), and the
+page's anchors.  A record's field rules store the same record, so on a
+drifted page they score and fold it once.  The fold refines each
 distinct root shape once, and each rule still checks the folded
-template against its own nesting room.  Nothing is kept across calls.
+template against its own nesting room.  A failed fold is not kept: each
+rule that asks meets the error.  Nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -65,8 +67,7 @@ from wrapmend.constraints import (
     validate_results,
 )
 from wrapmend.dom import Containment, DomNode, DomTree, NodePath, PathError, detach_subtree, resolve
-from wrapmend.kernels import _key_function
-from wrapmend.matching import best_matches
+from wrapmend.matching import best_matches, labeled_shape
 from wrapmend.model import MAX_NESTING, Rule, StoredExample, Wrapper
 from wrapmend.template import GeneralizeError, generalize, levels, refine, template_match
 from wrapmend.xpath import PlanExhausted, XPathError, apply_plan, detect_anchors, generate_plan
@@ -226,24 +227,6 @@ def _failure(name, trigger, notes, candidates=(), algorithm=None) -> AdaptationF
     )
 
 
-def _shape(node: DomNode, labeler) -> tuple:
-    """A subtree's labeled shape: each node's key and child count, in
-    document order.  The key is the one the matching kernels compare,
-    which tells labels apart at least as finely as the labeler's label
-    strings.  So subtrees of one shape score alike against any page, and a template
-    accepts both or neither, whatever their text and other attributes."""
-    key = _key_function(labeler)
-    shape = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        children = n.children
-        shape += (key(n), len(children))
-        if children:
-            stack.extend(reversed(children))
-    return tuple(shape)
-
-
 def _fold(template, stored: DomNode, roots, labeler):
     """(template, action) after folding matched roots into a template, or
     into the stored example generalized with the first root when there is
@@ -259,7 +242,7 @@ def _fold(template, stored: DomNode, roots, labeler):
     start = template
     accepted = set()  # shapes the template object in hand accepted
     for m in roots:
-        shape = _shape(m, labeler)
+        shape = labeled_shape(m, labeler)
         if shape in accepted:
             continue
         refined = refine(template, m, labeler)
@@ -273,49 +256,22 @@ def _fold(template, stored: DomNode, roots, labeler):
 
 
 class _PageWork:
-    """Repair work that depends on the page and not on the rule asking:
-    the ranked candidates of a stored example, the fold of admitted roots
-    into a template, and the page's anchors.  Every rule holds its own
-    copy of its stored example and template, so the work is keyed on
-    content: labeled shapes, templates by value and root paths."""
+    """Repair work on one page that does not depend on the rule asking,
+    each piece computed once per key.  Every rule holds its own copy of
+    its stored example and template, so keys are content: labeled shapes,
+    templates by value and root paths."""
 
     def __init__(self, page: DomTree):
         self.page = page
-        self._ranked = {}
-        self._folds = {}
-        self._anchors = None
+        self._done = {}
 
-    def ranked(self, stored: DomNode, shape, labeler, algorithm, min_score) -> list:
-        """best_matches of the stored subtree, whose _shape is given.  The
-        list is shared: callers copy before they filter."""
-        key = (shape, labeler, algorithm, min_score)
-        found = self._ranked.get(key)
-        if found is None:
-            found = self._ranked[key] = best_matches(
-                stored, self.page, labeler, algorithm=algorithm, min_score=min_score
-            )
-        return found
-
-    def fold(self, template, stored: DomNode, shape, roots, root_paths, labeler):
-        """_fold's result, or its GeneralizeError raised again.  The
-        stored example's shape counts only while there is no template."""
-        key = (template, shape if template is None else None, labeler, tuple(root_paths))
-        done = self._folds.get(key)
-        if done is None:
-            try:
-                done = _fold(template, stored, roots, labeler)
-            except GeneralizeError as e:
-                done = e
-            self._folds[key] = done
-        if isinstance(done, GeneralizeError):
-            raise GeneralizeError(*done.args)
-        return done
-
-    def anchors(self) -> list:
-        """detect_anchors of the page, walked for once."""
-        if self._anchors is None:
-            self._anchors = detect_anchors(self.page)
-        return self._anchors
+    def once(self, key, compute):
+        """The value stored under key, or compute()'s, stored first.  An
+        exception propagates and stores nothing, so the next rule asking
+        computes again and meets it too."""
+        if key not in self._done:
+            self._done[key] = compute()
+        return self._done[key]
 
 
 def adapt_rule(
@@ -428,10 +384,16 @@ def adapt_rule(
     if stored is None:
         raise _failure(name, trigger, ["no stored example to search with"])
     low, high = cfg.interval
-    shape = _shape(stored.subtree, cfg.labeler)
+    shape = labeled_shape(stored.subtree, cfg.labeler)
 
     for algorithm in cfg.algorithms():
-        ranked = page_work.ranked(stored.subtree, shape, cfg.labeler, algorithm, low)
+        # a shared list: filtered into a new one, never changed in place
+        ranked = page_work.once(
+            ("ranked", shape, cfg.labeler, algorithm, low),
+            lambda: best_matches(
+                stored.subtree, page, cfg.labeler, algorithm=algorithm, min_score=low
+            ),
+        )
         usable = [c for c in ranked if holding.holders(c.path)]
         try:
             chosen, resolved = threshold_search(
@@ -455,13 +417,18 @@ def adapt_rule(
 
     # 2. fold the matched shapes into the template
     try:
-        new_template, template_action = page_work.fold(
-            rule.template,
-            stored.subtree,
-            shape,
-            [root for _, root, _, _ in resolved],
-            [p for p, _, _, _ in resolved],
-            cfg.labeler,
+        # the stored example's shape counts only while there is no template
+        new_template, template_action = page_work.once(
+            (
+                "fold",
+                rule.template,
+                shape if rule.template is None else None,
+                cfg.labeler,
+                tuple(p for p, _, _, _ in resolved),
+            ),
+            lambda: _fold(
+                rule.template, stored.subtree, [root for _, root, _, _ in resolved], cfg.labeler
+            ),
         )
         # the file nests a rule's template one level below the rule
         room = MAX_NESTING - (name.count("/") + 1)
@@ -497,7 +464,7 @@ def adapt_rule(
                 top_target,
                 context_path=ctxs[first],
                 cohort=plan_targets if len(plan_targets) > 1 else None,
-                anchors=page_work.anchors(),
+                anchors=page_work.once("anchors", lambda: detect_anchors(page)),
             )
         except XPathError as e:
             notes.append("plan kept: %s" % (e,))

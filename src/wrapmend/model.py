@@ -168,9 +168,6 @@ class StoredExample:
                 % (self.residual_path,)
             )
 
-    def target(self) -> DomNode:
-        return resolve(self.subtree, self.residual_path)
-
     def to_dict(self) -> dict:
         return {
             "html": serialize(self.subtree),
@@ -521,10 +518,6 @@ def _typed(name: str, schema: dict):
 _conforms = _compile(_SCHEMA, _SCHEMA["$defs"], {})
 
 
-def wrapper_to_dict(wrapper: Wrapper) -> dict:
-    return wrapper.to_dict()
-
-
 def wrapper_from_dict(d: dict) -> Wrapper:
     """Build a Wrapper from its file dict.  One that nests deeper than
     MAX_NESTING is refused, and one the format check does not certify goes
@@ -555,7 +548,7 @@ def wrapper_from_dict(d: dict) -> Wrapper:
 
 def wrapper_json(wrapper: Wrapper) -> str:
     """Canonical file text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(wrapper_to_dict(wrapper), indent=2, sort_keys=True) + "\n"
+    return json.dumps(wrapper.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def wrapper_dict(data: bytes):

@@ -49,7 +49,7 @@ class NotFoundError(StorageError):
 
 class CorruptionError(StorageError):
     """Stored content no longer matches its recorded digest, or the log
-    holds an undecodable acknowledged line."""
+    holds an acknowledged line that is no version record."""
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,21 @@ def _digest(data: bytes) -> str:
 
 
 def _parse_record(line: bytes) -> VersionRecord:
-    """One log line; ValueError when it is not a whole version record."""
+    """One log line; ValueError when it is not a whole version record:
+    version an int >= 1, parent_version an int or null, content_digest a
+    string (bool is not an int here)."""
     try:
-        return VersionRecord.from_dict(json.loads(line))
+        record = VersionRecord.from_dict(json.loads(line))
     except (KeyError, TypeError, AttributeError) as e:
         raise ValueError("not a version record: %r" % (e,))
+    if not (
+        type(record.version) is int
+        and record.version >= 1
+        and (record.parent_version is None or type(record.parent_version) is int)
+        and type(record.content_digest) is str
+    ):
+        raise ValueError("not a version record: version, parent or digest mistyped")
+    return record
 
 
 def _fsync_dir(path) -> None:

@@ -21,7 +21,7 @@ from wrapmend.dom import parse_html, parse_snippet, subtree_size
 from wrapmend.engine import ExecutionContext, execute_wrapper
 from wrapmend.matching import simple_tree_matching, weighted_tree_matching
 from wrapmend.metrics import compute_metrics
-from wrapmend.model import load_wrapper, wrapper_to_dict
+from wrapmend.model import load_wrapper
 from wrapmend.repo import CorruptionError, WrapperStore
 from wrapmend.template import refine, template_from_tree, template_match
 from wrapmend.xpath import apply_plan, evaluate, generate_plan, relaxation_variants
@@ -271,7 +271,7 @@ def test_criterion_9_repository(tmp_path):
     for w in wrappers:
         store.commit(w)
         back = store.checkout(w.name, w.version)
-        assert wrapper_to_dict(back) == wrapper_to_dict(w), w.name
+        assert back.to_dict() == w.to_dict(), w.name
 
     # append-only: a later commit extends the log without rewriting it
     from dataclasses import replace

@@ -472,6 +472,34 @@ class TestEval:
         assert str(root / "wrapped" / "case00") in err
         assert "version" in err
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda t: t.update(expected=[]),
+            lambda t: t.update(mapping=[]),
+            lambda t: t["expected"]["record"].__setitem__(0, 5),
+            lambda t: t["expected"]["record"].__setitem__(0, "0/2/0"),
+            lambda t: t["expected"].__setitem__("record", 5),
+            lambda t: t["mapping"].__setitem__(next(iter(t["mapping"])), "0/2"),
+        ],
+        ids=[
+            "expected_array",
+            "mapping_array",
+            "expected_path_int",
+            "expected_path_string",
+            "expected_paths_int",
+            "mapped_path_string",
+        ],
+    )
+    def test_malformed_truth_is_usage_error(self, corpus, tmp_path, capsys, damage):
+        root = shutil.copytree(corpus, tmp_path / "corpus")
+        path = root / "wrapped" / "case00" / "truth.json"
+        truth = json.loads(path.read_bytes())
+        damage(truth)
+        path.write_text(json.dumps(truth), encoding="utf-8")
+        assert main(["eval", str(root)]) == 2
+        assert str(root / "wrapped" / "case00") in capsys.readouterr().err
+
 
 class TestHistory:
     def test_lists_versions(self, workdir, capsys):

@@ -207,6 +207,16 @@ class TestCorpusEvaluation:
         assert err.splitlines()[-1].endswith("argument --rate: %r is not a rate in [0, 1]" % rate)
         assert not root.exists()
 
+    def test_out_through_a_regular_file_is_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        for out in (blocker, blocker / "corpus"):
+            assert main(["--out", str(out), "--cases", "1"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("wrapmend.corpus: cannot write corpus: ")
+            assert str(blocker) in err
+        assert blocker.read_text() == "not a directory"
+
     def test_evaluate_prints_what_eval_prints(self, tmp_path, capsys):
         root = tmp_path / "out"
         assert main(["--out", str(root), "--cases", "1", "--evaluate"]) == 0

@@ -30,10 +30,10 @@ from wrapmend.engine import (
     threshold_search,
 )
 from wrapmend.matching import Labeler, best_matches
-from wrapmend.model import AdaptationConfig, Rule, Wrapper, capture_example, wrapper_to_dict
+from wrapmend.model import AdaptationConfig, Rule, Wrapper, capture_example
 from wrapmend.mutate import MutationSpec, mutate_tree
 from wrapmend.repo import WrapperStore
-from wrapmend.template import generalize, template_from_tree
+from wrapmend.template import TreeTemplate, generalize, template_from_tree
 from wrapmend.xpath import FallbackPlan, PlanEntry, parse_xpath
 
 from conftest import random_node
@@ -217,9 +217,9 @@ class TestExecuteHappyPath:
 
     def test_input_wrapper_untouched(self):
         w = build_wrapper()
-        before = wrapper_to_dict(w)
+        before = w.to_dict()
         execute_wrapper(w, ctx_for(WRAPPED_HTML))
-        assert wrapper_to_dict(w) == before
+        assert w.to_dict() == before
 
 
 class TestLocator:
@@ -960,6 +960,48 @@ class TestSharedRepairWork:
                 ),
             }
         assert len(generalized) == 2  # one fold per page, shared by both paths
+
+    def test_sibling_plan_regenerations_detect_anchors_once(self, monkeypatch):
+        anchored, planned = [], []
+        detect, generate = engine.detect_anchors, engine.generate_plan
+        monkeypatch.setattr(engine, "detect_anchors", lambda *a: anchored.append(a) or detect(*a))
+        monkeypatch.setattr(
+            engine, "generate_plan", lambda *a, **k: planned.append(a) or generate(*a, **k)
+        )
+        html = ORIGINAL_HTML.replace('"name"', '"title"').replace('"price"', '"cost"')
+        _, reports, new = execute_wrapper(build_wrapper(), ctx_for(html))
+        assert [(r.rule_name, r.succeeded) for r in reports] == [
+            ("record/name", True),
+            ("record/price", True),
+        ]
+        assert new.find_rule("record/name").plan != build_wrapper().find_rule("record/name").plan
+        assert len(planned) == 2
+        assert len(anchored) == 1
+
+    def test_a_failed_fold_fails_for_every_rule_that_asks(self):
+        # refine refuses a "*" root, so folding the matched records into
+        # it raises; each sibling rule meets the error, not a kept result
+        wrapper = build_wrapper()
+        page = original_page()
+        work = engine._PageWork(page)
+        refused = TreeTemplate("*")
+        outcomes = []
+        for rule_path in ("record/name", "record/price"):
+            rule = replace(wrapper.find_rule(rule_path), template=refused)
+            new_rule, report, matches = adapt_rule(
+                rule,
+                page,
+                context_paths=[REC0, REC1],
+                force=True,
+                rule_path=rule_path,
+                page_work=work,
+                clock=lambda: "t",
+            )
+            assert new_rule.template is refused
+            assert len(matches) == 2 and all(len(m) == 1 for m in matches)
+            outcomes.append((report.succeeded, report.template_action, report.notes))
+        note = "template not updated: root labels differ: '*' vs 'div||'"
+        assert outcomes == [(True, "none", (note,))] * 2
 
 
 @st.composite

@@ -14,6 +14,7 @@ from wrapmend.dom import (
     enumerate_subtrees,
     parse_html,
     parse_snippet,
+    resolve,
     subtree_size,
 )
 from wrapmend.matching import (
@@ -302,7 +303,7 @@ class TestKernels:
             stored = random_node(rng, max_depth=3, max_branch=3, with_attrs=True)
             scored = kernels.score_against_page(stored, page, DEFAULT_LABELER, "weighted")
             for path, score in scored:
-                node = page.resolve(path)
+                node = resolve(page, path)
                 assert score == weighted_tree_matching(stored, node)
 
     def test_simple_kernel_matches_recursion(self, rng):
@@ -311,7 +312,7 @@ class TestKernels:
             stored = random_node(rng, max_depth=3, max_branch=3, with_attrs=True)
             scored = kernels.score_against_page(stored, page, DEFAULT_LABELER, "simple")
             for path, score in scored:
-                node = page.resolve(path)
+                node = resolve(page, path)
                 assert score == normalized_stm(stored, node)
 
     def test_scores_equal_recorded_golden_values(self):
@@ -337,7 +338,7 @@ class TestKernels:
             ranked = best_matches(stored, page, algorithm="simple")
             assert ranked
             for cand in ranked:
-                node = page.resolve(cand.path)
+                node = resolve(page, cand.path)
                 want = 2 * oracle_stm(stored, node) / (subtree_size(stored) + subtree_size(node))
                 assert cand.score == want
 
@@ -371,7 +372,7 @@ class TestDeepPages:
         assert len(ranked) == depth
         assert ranked[0].score == 1.0
         assert ranked[0].path == (0,) * depth
-        assert page.resolve(ranked[0].path).children[0].label == "span"
+        assert resolve(page, ranked[0].path).children[0].label == "span"
 
 
 def _top_level_modules_after(statement: str) -> set:

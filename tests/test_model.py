@@ -9,13 +9,8 @@ import pytest
 
 import wrapmend.model as model
 
-from wrapmend.constraints import (
-    CardinalityConstraint,
-    DatatypeConstraint,
-    at_least_one,
-    exactly_one,
-)
-from wrapmend.dom import PathError, parse_html, serialize
+from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint
+from wrapmend.dom import PathError, parse_html, resolve, serialize
 from wrapmend.engine import ExecutionContext, execute_wrapper
 from wrapmend.matching import Labeler
 from wrapmend.model import (
@@ -29,7 +24,6 @@ from wrapmend.model import (
     save_wrapper,
     wrapper_from_dict,
     wrapper_json,
-    wrapper_to_dict,
 )
 from wrapmend.template import TreeTemplate
 from wrapmend.xpath import (
@@ -65,7 +59,7 @@ def sample_wrapper():
     child = Rule(
         name="price",
         plan=FallbackPlan(best=parse_xpath("./span[@class='price']"), best_tag="attribute"),
-        constraints=(exactly_one(), DatatypeConstraint(datatype="decimal")),
+        constraints=(CardinalityConstraint(1, 1), DatatypeConstraint(datatype="decimal")),
         adaptation=AdaptationConfig(
             threshold=(0.4, 0.95), triggers=frozenset(("bottom_up",))
         ),
@@ -74,7 +68,7 @@ def sample_wrapper():
     record = Rule(
         name="record",
         plan=plan(),
-        constraints=(at_least_one(),),
+        constraints=(CardinalityConstraint(1, None),),
         adaptation=AdaptationConfig(algorithm="weighted", threshold=0.7),
         stored_example=capture_example(PAGE, (0, 0)),
         template=TreeTemplate(
@@ -143,13 +137,13 @@ class TestAdaptationConfig:
 
 class TestStoredExample:
     def test_residual_must_resolve(self):
-        node = PAGE.resolve((0, 0))
+        node = resolve(PAGE, (0, 0))
         with pytest.raises(ValueError):
             StoredExample(subtree=node, residual_path=(5,))
 
     def test_target_walks_residual(self):
         ex = capture_example(PAGE, (0, 0, 1), ancestor_level=1)
-        assert ex.target().attributes["class"] == "price"
+        assert resolve(ex.subtree, ex.residual_path).attributes["class"] == "price"
 
     def test_dict_round_trip(self):
         ex = capture_example(PAGE, (0, 0), captured_at="2026-01-05T00:00:00+00:00")
@@ -172,7 +166,7 @@ class TestCaptureExample:
         ex = capture_example(PAGE, (0, 0, 0))
         assert ex.subtree.label == "body"
         assert ex.residual_path == (0, 0)
-        assert ex.target().attributes["class"] == "name"
+        assert resolve(ex.subtree, ex.residual_path).attributes["class"] == "name"
 
     def test_explicit_level(self):
         ex = capture_example(PAGE, (0, 0, 1), ancestor_level=1)
@@ -191,7 +185,7 @@ class TestCaptureExample:
     def test_detached_copy_does_not_alias_page(self):
         ex = capture_example(PAGE, (0, 0))
         ex.subtree.children[0].attributes["class"] = "mutated"
-        assert PAGE.resolve((0, 0, 0)).attributes["class"] == "name"
+        assert resolve(PAGE, (0, 0, 0)).attributes["class"] == "name"
 
 
 class TestRuleAndWrapper:
@@ -222,13 +216,13 @@ class TestRuleAndWrapper:
 
     def test_wrapper_level_constraints_satisfy_the_invariant(self):
         rule = Rule(name="r", plan=plan(), adaptation=AdaptationConfig())
-        w = Wrapper(name="w", root_rules=(rule,), constraints=(exactly_one(),))
-        assert w.effective_constraints(rule) == (exactly_one(),)
+        w = Wrapper(name="w", root_rules=(rule,), constraints=(CardinalityConstraint(1, 1),))
+        assert w.effective_constraints(rule) == (CardinalityConstraint(1, 1),)
 
     def test_rule_constraints_override_wrapper_level(self):
-        rule = Rule(name="r", plan=plan(), constraints=(at_least_one(),))
-        w = Wrapper(name="w", root_rules=(rule,), constraints=(exactly_one(),))
-        assert w.effective_constraints(rule) == (at_least_one(),)
+        rule = Rule(name="r", plan=plan(), constraints=(CardinalityConstraint(1, None),))
+        w = Wrapper(name="w", root_rules=(rule,), constraints=(CardinalityConstraint(1, 1),))
+        assert w.effective_constraints(rule) == (CardinalityConstraint(1, None),)
 
     def test_iter_rules_paths(self):
         w = sample_wrapper()
@@ -288,7 +282,7 @@ class TestSerialization:
 
     def test_dict_round_trip(self):
         w = sample_wrapper()
-        assert wrapper_from_dict(wrapper_to_dict(w)) == w
+        assert wrapper_from_dict(w.to_dict()) == w
 
     def test_compiled_parts_stay_out_of_equality_and_dicts(self):
         # patterns compile once and plans expand their attempts once, beside
@@ -298,7 +292,7 @@ class TestSerialization:
         execute_wrapper(ran, ExecutionContext(pages=(PAGE,)))
         assert ran == fresh
         assert hash(ran.root_rules[0].plan) == hash(fresh.root_rules[0].plan)
-        assert wrapper_to_dict(ran) == wrapper_to_dict(fresh)
+        assert ran.to_dict() == fresh.to_dict()
         typed = DatatypeConstraint(datatype="pattern", pattern="[a-z]+")
         assert hash(typed) == hash(DatatypeConstraint(datatype="pattern", pattern="[a-z]+"))
         assert typed.to_dict() == {"kind": "datatype", "datatype": "pattern", "pattern": "[a-z]+"}
@@ -311,43 +305,43 @@ class TestSerialization:
         assert text == wrapper_json(wrapper_from_dict(json.loads(text)))
 
     def test_rule_json_carries_flat_plan_keys(self):
-        d = wrapper_to_dict(sample_wrapper())
+        d = sample_wrapper().to_dict()
         rule = d["rules"][0]
         assert rule["xpath_best"] == {"expr": "//div[@id='rec']", "tag": "id"}
         assert rule["xpath_fallbacks"][0]["tag"] == "structural"
 
     def test_schema_rejects_missing_name(self):
-        d = wrapper_to_dict(sample_wrapper())
+        d = sample_wrapper().to_dict()
         del d["name"]
         assert_schema_rejects(d)
 
     def test_schema_rejects_bad_version(self):
-        d = wrapper_to_dict(sample_wrapper())
+        d = sample_wrapper().to_dict()
         d["version"] = 0
         assert_schema_rejects(d)
 
     def test_schema_rejects_unknown_keys(self):
-        d = wrapper_to_dict(sample_wrapper())
+        d = sample_wrapper().to_dict()
         d["surprise"] = True
         assert_schema_rejects(d)
 
     def test_schema_rejects_bad_constraint_kind(self):
-        d = wrapper_to_dict(sample_wrapper())
+        d = sample_wrapper().to_dict()
         d["rules"][0]["constraints"] = [{"kind": "parity"}]
         assert_schema_rejects(d)
 
     def test_schema_rejects_slash_in_rule_name(self):
-        d = wrapper_to_dict(sample_wrapper())
+        d = sample_wrapper().to_dict()
         d["rules"][0]["name"] = "a/b"
         assert_schema_rejects(d)
 
     def test_schema_rejects_bad_occurrence(self):
-        d = wrapper_to_dict(sample_wrapper())
+        d = sample_wrapper().to_dict()
         d["rules"][0]["template"]["occurrence"] = "sometimes"
         assert_schema_rejects(d)
 
     def test_schema_rejects_malformed_threshold(self):
-        d = wrapper_to_dict(sample_wrapper())
+        d = sample_wrapper().to_dict()
         d["rules"][0]["adaptation"]["threshold"] = {"constant": 0.5, "low": 0.1}
         assert_schema_rejects(d)
 
@@ -362,7 +356,7 @@ class TestSerialization:
 
     def test_semantic_errors_become_format_errors(self):
         # schema-clean but violates the adaptation/constraints invariant
-        d = wrapper_to_dict(sample_wrapper())
+        d = sample_wrapper().to_dict()
         d["rules"][0]["constraints"] = []
         d["rules"][0]["children"] = []
         with pytest.raises(WrapperFormatError):
@@ -371,7 +365,7 @@ class TestSerialization:
     def test_bad_pattern_is_a_format_error(self):
         with pytest.raises(ValueError, match="bad pattern"):
             DatatypeConstraint(datatype="pattern", pattern="[")
-        d = wrapper_to_dict(sample_wrapper())
+        d = sample_wrapper().to_dict()
         d["rules"][0]["constraints"].append(
             {"kind": "datatype", "datatype": "pattern", "pattern": "["}
         )
@@ -392,7 +386,9 @@ def unloadable_wrapper():
     assert plan.best.to_string() == "/html/body/o section/span"
     return Wrapper(
         name="prefixed",
-        root_rules=(Rule(name="first", plan=plan, constraints=(at_least_one(),)),),
+        root_rules=(
+            Rule(name="first", plan=plan, constraints=(CardinalityConstraint(1, None),)),
+        ),
     )
 
 
@@ -422,7 +418,9 @@ def test_generated_plans_load_back(html, target, best):
     assert plan.best.to_string() == best
     wrapper = Wrapper(
         name="names",
-        root_rules=(Rule(name="first", plan=plan, constraints=(at_least_one(),)),),
+        root_rules=(
+            Rule(name="first", plan=plan, constraints=(CardinalityConstraint(1, None),)),
+        ),
     )
     loaded = wrapper_from_dict(json.loads(wrapper_json(wrapper)))
     assert loaded == wrapper

@@ -463,6 +463,53 @@ class TestTornLog:
             store.checkout("shop")
 
 
+MISTYPED = [
+    {"version": "1"},
+    {"version": 1.5},
+    {"version": True},
+    {"version": 0},
+    {"parent_version": "0"},
+    {"parent_version": 0.5},
+    {"content_digest": 5},
+]
+
+
+@pytest.mark.parametrize("fields", MISTYPED, ids=lambda d: "%s=%r" % next(iter(d.items())))
+class TestMistypedLog:
+    """A log line that decodes but whose version, parent or digest has the
+    wrong type is no version record."""
+
+    def test_acknowledged_mistyped_line_is_corruption(self, tmp_path, rng, fields):
+        store = WrapperStore(tmp_path)
+        store.commit(random_wrapper(rng, name="shop"))
+        log = tmp_path / "shop" / "log.jsonl"
+        record = json.loads(log.read_bytes())
+        record.update(fields)
+        log.write_text(json.dumps(record) + "\n")
+        with pytest.raises(CorruptionError):
+            store.history("shop")
+        with pytest.raises(CorruptionError):
+            store.checkout("shop")
+        with pytest.raises(CorruptionError):
+            store.commit(bump(random_wrapper(rng, name="shop"), 2))
+
+    def test_unterminated_mistyped_tail_is_torn(self, tmp_path, rng, fields):
+        store = WrapperStore(tmp_path)
+        w1 = random_wrapper(rng, name="shop")
+        store.commit(w1)
+        log = tmp_path / "shop" / "log.jsonl"
+        acknowledged = log.read_bytes()
+        record = json.loads(acknowledged)
+        record.update({"version": 2, "parent_version": 1}, **fields)
+        log.write_bytes(acknowledged + json.dumps(record).encode())
+        assert [r.version for r in store.history("shop")] == [1]
+        assert store.checkout("shop") == w1
+        w2 = bump(random_wrapper(rng, name="shop"), 2)
+        store.commit(w2)
+        assert [r.version for r in store.history("shop")] == [1, 2]
+        assert store.checkout("shop") == w2
+
+
 class TestDurability:
     @pytest.fixture
     def synced(self, monkeypatch):

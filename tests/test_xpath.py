@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wrapmend.dom import DomTree, enumerate_subtrees, parse_html, resolve
-from wrapmend.constraints import DatatypeConstraint, at_least_one, exactly_one
+from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint
 from wrapmend.xpath import (
     AttrEquals,
     AttrFragment,
@@ -556,7 +556,7 @@ class TestRelaxation:
 class TestApplyPlan:
     def test_best_used_when_it_satisfies(self):
         plan = generate_plan(PAGE, (0, 0))
-        matches, tag = apply_plan(plan, PAGE, exactly_one())
+        matches, tag = apply_plan(plan, PAGE, CardinalityConstraint(1, 1))
         assert matches == [((0, 0), resolve(PAGE, (0, 0)))]
         assert tag == "id"
 
@@ -571,7 +571,7 @@ class TestApplyPlan:
             '<html><body><div class="product-9876"><span>x</span></div>'
             "<p>other</p></body></html>"
         )
-        matches, tag = apply_plan(plan, churned, exactly_one())
+        matches, tag = apply_plan(plan, churned, CardinalityConstraint(1, 1))
         assert [p for p, _ in matches] == [(0, 0)]
         assert tag == "fragment"
 
@@ -580,7 +580,7 @@ class TestApplyPlan:
         mutated = parse_html(
             PAGE_SOURCE.replace('class="product-1234"', 'class="totally-new"')
         )
-        matches, tag = apply_plan(plan, mutated, exactly_one())
+        matches, tag = apply_plan(plan, mutated, CardinalityConstraint(1, 1))
         assert [p for p, _ in matches] == [(0, 1, 0)]
         assert tag == "positional"
 
@@ -595,7 +595,7 @@ class TestApplyPlan:
             "<html><body><div><span>oops</span></div>"
             '<div id="box"><span>3.99</span></div><p>words</p></body></html>'
         )
-        constraints = [exactly_one(), DatatypeConstraint(datatype="decimal")]
+        constraints = [CardinalityConstraint(1, 1), DatatypeConstraint(datatype="decimal")]
         matches, tag = apply_plan(plan, mutated, constraints)
         assert [resolve(mutated, p).text for p, _ in matches] == ["3.99"]
         assert tag == "anchor"
@@ -609,13 +609,13 @@ class TestApplyPlan:
         mutated = parse_html(
             "<html><body><div><ul><li>goal</li></ul></div></body></html>"
         )
-        matches, tag = apply_plan(plan, mutated, exactly_one())
+        matches, tag = apply_plan(plan, mutated, CardinalityConstraint(1, 1))
         assert tag == "index_relaxation"
         assert [resolve(mutated, p).text for p, _ in matches] == ["goal"]
 
     def test_single_constraint_accepted_without_list(self):
         plan = generate_plan(PAGE, (0, 2))
-        matches, _ = apply_plan(plan, PAGE, exactly_one())
+        matches, _ = apply_plan(plan, PAGE, CardinalityConstraint(1, 1))
         assert [p for p, _ in matches] == [(0, 2)]
 
     def test_no_constraints_requires_nonempty(self):
@@ -639,7 +639,7 @@ class TestApplyPlan:
             }
         )
         assert [t for t, _ in plan.attempts] == ["attribute", "id", "positional", "structural"]
-        matches, tag = apply_plan(plan, page, exactly_one())
+        matches, tag = apply_plan(plan, page, CardinalityConstraint(1, 1))
         assert tag == "id"
         assert [node.text for _, node in matches] == ["second"]
 
@@ -647,6 +647,6 @@ class TestApplyPlan:
         plan = generate_plan(PAGE, (0, 1, 1))
         empty = parse_html("<html><body></body></html>")
         with pytest.raises(PlanExhausted) as err:
-            apply_plan(plan, empty, at_least_one())
+            apply_plan(plan, empty, CardinalityConstraint(1, None))
         tags = [t for t, _ in err.value.tried]
         assert tags[0] == plan.best_tag
