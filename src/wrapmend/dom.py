@@ -11,13 +11,16 @@ without "<", start tags whose attributes are all name="value" (no "<" in
 the value), and end tags.  That covers what serialize writes, script and
 style aside, and what corpus.generate_page writes.  No token of the
 subset holds "<", so the loop splits the source once at "<": each piece
-is one tag and the text up to the next tag.  A listing repeats a few
-tag texts hundreds of times, and pages of one site share them, so the
-loop reads each distinct tag text (the piece up to its first ">") once
-with the _TAG regex and memoizes the finished token across pages; a
-value holding ">" is read again each time.  From the first piece
-outside the subset, or from a script or style start tag, html.parser
-reads the rest of the page.
+is one tag and the text up to the next tag.  A listing repeats whole
+pieces hundreds of times (end tags, container tags, repeated values),
+and pages of one site share them, so the loop memoizes each whole piece
+as its token and collapsed text: a hit builds its node without reading
+anything.  A piece it has not seen is looked up as its tag alone (the
+piece up to its first ">"), so each distinct tag text is read once with
+the _TAG regex.  Tag and piece entries share one memo, one bound and
+one clear, and live across pages; a value holding ">" is never
+memoized.  From the first piece outside the subset, or from a script or
+style start tag, html.parser reads the rest of the page.
 
 The loop inlines the tree-building rules of the handlers that
 html.parser calls, so the two must build the same tree.  The
@@ -119,28 +122,38 @@ def _collapse_ws(s: str) -> str:
     return " ".join(s.split())
 
 
-# raw tag text -> _token(m), shared by every parse.  A token is never
-# changed (each node copies its attributes dict), so a hit builds what a
-# fresh read would.  Cleared when it grows past _TOKEN_MEMO_SIZE entries,
-# so pages of many sites cannot grow it without bound.
+def _segment(text: str) -> str:
+    """Source text as a node keeps it: entities decoded, whitespace runs
+    collapsed.  Whitespace-only text collapses to nothing: str.split and
+    str.isspace agree on what whitespace is."""
+    if not text or text.isspace():
+        return ""
+    if "&" in text:
+        text = unescape(text)
+    return _collapse_ws(text)
+
+
+# The parse memo, shared by every parse: a whole piece (a tag text, its
+# ">" and the text up to the next "<") maps to _token(m) plus the text's
+# _segment.  A piece missing from it is looked up again cut after its
+# first ">", as the same tag with no text, so each distinct tag text is
+# read once.  An entry is never changed (each node copies its attributes
+# dict), so a hit builds what a fresh read would.  Cleared before a parse
+# once past _TOKEN_MEMO_SIZE entries, so pages of many sites cannot grow
+# it without bound.
 _token_memo: dict = {}
 _TOKEN_MEMO_SIZE = 4096
 
 
-@dataclass(eq=False, init=False)
 class DomNode:
     """One element.  A node does not know where it sits: its position is
     the NodePath passed beside it.  Equality is structural (label,
     attributes, text, children), so a detached copy of a subtree compares
     equal to the original."""
 
-    label: str
-    attributes: dict
-    text: str
-    children: list
+    # slotted: a page builds one node per element
+    __slots__ = ("label", "attributes", "text", "children")
 
-    # Written out rather than generated: a page builds one node per element,
-    # and literals are cheaper than the generated default factories.
     def __init__(
         self,
         label: str,
@@ -216,65 +229,66 @@ class _TreeBuilder(HTMLParser):
         stack = self.stack
         push, pop = stack.append, stack.pop
         match = _TAG.match
+        new = object.__new__
         count = self.count
-        # Attribute values pair the quotes of a tag text in order, so a
-        # match that ends at the text's first ">" ends there whatever
-        # follows it.
         memo = _token_memo
         if len(memo) > _TOKEN_MEMO_SIZE:
             memo.clear()
-        last = len(pieces)
-        text = pieces[0]
-        for i in range(1, last + 1):
-            # whitespace-only text collapses to nothing: str.split and
-            # str.isspace agree on what whitespace is
-            if text and not text.isspace():
-                if "&" in text:
-                    text = unescape(text)
-                seg = _collapse_ws(text)
-                if seg:
-                    node = stack[-1]
-                    node.text = node.text + " " + seg if node.text else seg
-            if i == last:
-                break
+        self.sentinel.text = _segment(pieces[0])
+        for i in range(1, len(pieces)):
             piece = pieces[i]
-            end = piece.find(">")
-            token = memo.get(piece[:end]) if end >= 0 else None
-            if token is not None:
-                text = piece[end + 1 :]
-            else:
-                m = match(piece)
-                token = m and _token(m)
-                if token is None:
-                    # outside the subset, or raw text: html.parser reads the
-                    # rest.  Every token so far ended outside raw text,
-                    # where html.parser keeps no state between tokens:
-                    # `rawdata` is empty and `cdata_elem` is None
-                    # (`lasttag` is written but never read).  So it reads
-                    # the rest exactly as it would have read it as part of
-                    # the whole document.
-                    self.count = count
-                    self.feed(source[len("<".join(pieces[:i])) :])
-                    self.close()
-                    return
-                if m.end() == end + 1:  # a value holding ">" is not memoized
-                    memo[piece[:end]] = token
-                text = piece[m.end() :]
-            is_end, tag, attrs, closers, opens = token
+            hit = memo.get(piece)
+            if hit is None:
+                # Attribute values pair the quotes of a tag text in order,
+                # so a match that ends at the text's first ">" ends there
+                # whatever follows it: the piece cut after that ">" is the
+                # same tag with no text.
+                stop = piece.find(">") + 1
+                bare = memo.get(piece[:stop]) if stop else None
+                if bare is not None:
+                    hit = memo[piece] = bare[:5] + (_segment(piece[stop:]),)
+                else:
+                    m = match(piece)
+                    token = m and _token(m)
+                    if token is None:
+                        # outside the subset, or raw text: html.parser reads
+                        # the rest.  Every token so far ended outside raw
+                        # text, where html.parser keeps no state between
+                        # tokens: `rawdata` is empty and `cdata_elem` is
+                        # None (`lasttag` is written but never read).  So it
+                        # reads the rest exactly as it would have read it as
+                        # part of the whole document.
+                        self.count = count
+                        self.feed(source[len("<".join(pieces[:i])) :])
+                        self.close()
+                        return
+                    hit = token + (_segment(piece[m.end() :]),)
+                    if m.end() == stop:  # a value holding ">" is not memoized
+                        memo[piece[:stop]] = token + ("",)
+                        memo[piece] = hit
+            is_end, tag, attrs, closers, opens, seg = hit
             if is_end:
                 if stack[-1].label == tag:  # never the sentinel's "#document"
                     pop()
                 else:
                     self.handle_endtag(tag)
-                continue
-            if closers:
-                while len(stack) > 1 and stack[-1].label in closers:
-                    pop()
-            node = DomNode(tag, dict(attrs))  # never the memo's own dict
-            count += 1
-            stack[-1].children.append(node)
-            if opens:
-                push(node)
+            else:
+                if closers:
+                    while len(stack) > 1 and stack[-1].label in closers:
+                        pop()
+                # DomNode.__init__ written inline: one call less per element
+                node = new(DomNode)
+                node.label = tag
+                node.attributes = attrs.copy()  # never the memo's own dict
+                node.text = ""
+                node.children = []
+                count += 1
+                stack[-1].children.append(node)
+                if opens:
+                    push(node)
+            if seg:
+                node = stack[-1]
+                node.text = node.text + " " + seg if node.text else seg
         self.count = count  # html.parser was fed nothing: nothing to close
 
     def handle_starttag(self, tag, attrs):

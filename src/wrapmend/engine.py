@@ -100,7 +100,7 @@ class ExecutionContext:
             raise ValueError("page bundle must be non-empty")
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtractionResult:
     rule_name: str
     matches: tuple = ()  # of (NodePath, text)

@@ -88,12 +88,19 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _is_summary(entries) -> bool:
+    """Whether entries are (rule, trigger, delta) triples of strings."""
+    return all(len(e) == 3 and all(isinstance(x, str) for x in e) for e in entries)
+
+
 def _parse_record(line: bytes) -> VersionRecord:
     """One log line; ValueError when it is not a whole version record:
-    version an int >= 1, parent_version an int or null, content_digest a
-    string (bool is not an int here)."""
+    version an int >= 1, parent_version an int or null, timestamp and
+    content_digest strings, change_summary a list of {rule, trigger,
+    delta} strings (bool is not an int here)."""
     try:
-        record = VersionRecord.from_dict(json.loads(line))
+        d = json.loads(line)
+        record = VersionRecord.from_dict(d)
     except (KeyError, TypeError, AttributeError) as e:
         raise ValueError("not a version record: %r" % (e,))
     if not (
@@ -103,6 +110,12 @@ def _parse_record(line: bytes) -> VersionRecord:
         and type(record.content_digest) is str
     ):
         raise ValueError("not a version record: version, parent or digest mistyped")
+    if not (
+        type(record.timestamp) is str
+        and type(d.get("change_summary", [])) is list
+        and _is_summary(record.change_summary)
+    ):
+        raise ValueError("not a version record: timestamp or change summary mistyped")
     return record
 
 
@@ -199,9 +212,22 @@ class WrapperStore:
 
     def commit(self, wrapper: Wrapper, summary=(), timestamp=None) -> VersionRecord:
         """Persist one new version; wrapper.version must be latest + 1.
-        Only text that loads back is written: a wrapper whose file would
-        not is refused before anything touches the store."""
+        Only what loads back is written: a wrapper whose file would not,
+        a summary entry that is not three strings (rule, trigger, delta)
+        or a timestamp that is not a string is refused before anything
+        touches the store."""
         wdir = self._dir(wrapper.name)
+        try:
+            # a string is one value, not a (rule, trigger, delta) triple
+            summary = tuple(
+                (entry,) if isinstance(entry, str) else tuple(entry) for entry in summary
+            )
+        except TypeError:
+            summary = None
+        if summary is None or not _is_summary(summary):
+            raise StorageError("change summary entries must be (rule, trigger, delta) strings")
+        if timestamp is not None and not isinstance(timestamp, str):
+            raise StorageError("timestamp must be a string, not %r" % (timestamp,))
         content = wrapper_json(wrapper).encode("utf-8")
         try:
             loaded = wrapper_from_dict(wrapper_dict(content))
@@ -232,7 +258,7 @@ class WrapperStore:
                     parent_version=parent,
                     timestamp=timestamp
                     or datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                    change_summary=tuple(tuple(entry) for entry in summary),
+                    change_summary=summary,
                     content_digest=_digest(content),
                 )
                 # content first, then the log line that makes it visible

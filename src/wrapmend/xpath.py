@@ -90,6 +90,19 @@ class Step:
         if self.axis not in ("child", "descendant"):
             raise XPathError("unknown axis %r" % (self.axis,))
 
+    @cached_property
+    def split(self) -> tuple:
+        """(test, grouped): the predicates before the first Position
+        decide each node alone, so they become one test of a node (None
+        when there are none); the Position and those after it need the
+        node's group.  Built on first use and kept outside the fields."""
+        preds = self.predicates
+        k = next((k for k, p in enumerate(preds) if isinstance(p, Position)), len(preds))
+        holds = [p.holds for p in preds[:k]]
+        if len(holds) > 1:
+            return (lambda node: all(h(node) for h in holds)), preds[k:]
+        return (holds[0] if holds else None), preds[k:]
+
 
 @dataclass(frozen=True)
 class XPathExpr:
@@ -244,7 +257,7 @@ def _select(expr: XPathExpr, tree: DomTree, context_path, context_node=None) -> 
             current += _step(first, [((), root)])  # the root sorts first
         steps = steps[1:]
     else:
-        path = tuple(context_path or ())
+        path = context_path if type(context_path) is tuple else tuple(context_path or ())
         current = [(path, resolve(tree, path) if context_node is None else context_node)]
     for step in steps:
         if not current:
@@ -255,9 +268,13 @@ def _select(expr: XPathExpr, tree: DomTree, context_path, context_node=None) -> 
 
 def _step(step: Step, contexts: list) -> list:
     """The step's matches from contexts in document order.  Each parent's
-    children are one group, which the name test and then the predicates
-    narrow; the descendant axis visits every group below a context."""
-    name, preds = step.name, step.predicates
+    children are one group.  The scan keeps the children that pass the
+    name test and the predicates before the step's first Position, each
+    decided on the node alone; only when the step has a Position does
+    _filtered narrow the group with it and the predicates after it.  The
+    descendant axis visits every group below a context."""
+    name = step.name
+    test, grouped = step.split
     any_name = name == "*"
     descend = step.axis == "descendant"
     out = []
@@ -277,13 +294,13 @@ def _step(step: Step, contexts: list) -> list:
             kept = []
             i = 0  # counted by hand: enumerate's pair per child costs more here
             for c in children:
-                if any_name or c.label == name:
+                if (any_name or c.label == name) and (test is None or test(c)):
                     kept.append(i)
                 if descend and c.children:
                     stack.append((path + (i,), c))
                 i += 1
-            if kept and preds:
-                kept = _filtered(preds, children, kept)
+            if kept and grouped:
+                kept = _filtered(grouped, children, kept)
             if kept:
                 groups += 1
                 for i in kept:

@@ -531,6 +531,22 @@ class TestHistory:
         assert [r["version"] for r in doc] == [1, 2]
         assert all(len(r["content_digest"]) == 64 for r in doc)
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_mistyped_log_line_is_reported_not_listed(self, workdir, capsys, fmt):
+        store = workdir / "store"
+        main(["--store", str(store), "run", str(workdir / "wrapper.json"),
+              str(workdir / "mutated.html"), "--commit"])
+        log = store / "listing" / "log.jsonl"
+        lines = log.read_text().splitlines()
+        record = json.loads(lines[0])
+        record.update(timestamp=5, change_summary=[{"rule": 1, "trigger": [], "delta": {}}])
+        log.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["--store", str(store), "--format", fmt, "history", "listing"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "undecodable log line 1" in captured.err
+
     def test_without_store_is_usage_error(self, capsys):
         assert main(["history", "listing"]) == 2
 

@@ -480,12 +480,14 @@ class TestTokenizer:
             parse_snippet(source)
 
     def test_each_distinct_tag_text_is_read_once(self, monkeypatch):
-        # a listing repeats a few tag texts hundreds of times; the parser
-        # reads each once, and keeps it for later pages.  If it read every
+        # a listing repeats a few tag texts hundreds of times, and whole
+        # pieces (a tag and the text up to the next tag) scores of times;
+        # the parser reads each tag text once and collapses each piece's
+        # text once, and keeps them for later pages.  If it read every
         # tag, parsing would still be right but much slower
         listing = generate_page(random.Random(0))
-        calls = []
-        match = dom._TAG.match
+        calls, segments = [], []
+        match, segment = dom._TAG.match, dom._segment
 
         class Counting:
             def match(self, piece):
@@ -493,12 +495,55 @@ class TestTokenizer:
                 return match(piece)
 
         monkeypatch.setattr(dom, "_TAG", Counting())
+        monkeypatch.setattr(dom, "_segment", lambda text: segments.append(text) or segment(text))
+        monkeypatch.setattr(dom, "_token_memo", {})
         for source in (listing, serialize(parse_html(listing))):
             tags = re.findall("<([^<>]*)>", source)
             assert len(set(tags)) * 4 < len(tags)
+            pieces = source.split("<")
+            assert len(set(pieces)) * 2 < len(pieces)
             calls.clear()
+            segments.clear()
             assert parse_html(source).node_count == len(re.findall("<[^/]", source))
             assert len(calls) <= len(set(tags)), (len(calls), len(set(tags)))
+            # the text before the first tag, then each distinct piece
+            assert len(segments) <= 1 + len(set(pieces[1:])), (len(segments), len(set(pieces)))
+
+    def test_a_repeated_piece_keeps_its_entities_and_whitespace(self):
+        source = "<ul><li>a&amp;b\n  c</li><li>a&amp;b\n  c</li></ul>"
+        for _ in range(2):  # the second parse reads every piece from the memo
+            items = parse_html(source).root.children[0].children
+            assert [li.text for li in items] == ["a&b c", "a&b c"]
+            assert_reads_as_html_parser(source)
+        assert dom._token_memo["li>a&amp;b\n  c"][-1] == "a&b c"
+
+    def test_a_piece_whose_value_holds_gt_is_never_memoized(self):
+        source = '<p><a title="x>y">t  u</a><a title="x>y">t  u</a></p>'
+        for _ in range(2):
+            links = parse_html(source).root.children[0].children
+            assert [(a.attributes, a.text) for a in links] == [({"title": "x>y"}, "t u")] * 2
+            assert_reads_as_html_parser(source)
+        assert not [key for key in dom._token_memo if 'title="x>' in key]
+
+    def test_a_memoized_end_tag_piece_carries_its_text(self):
+        # the piece "/p>y" closes the root and then puts text outside it
+        for _ in range(2):
+            with pytest.raises(ParseError, match="text outside the root"):
+                parse_snippet("<p>x</p>y")
+            assert "/p>y" in dom._token_memo
+
+    def test_the_piece_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(dom, "_TOKEN_MEMO_SIZE", 8)
+        for page in range(5):
+            source = "".join('<p class="c">x%d-%d</p>' % (page, i) for i in range(6))
+            tree = parse_html(source)
+            assert [p.text for p in tree.root.children] == [
+                "x%d-%d" % (page, i) for i in range(6)
+            ]
+            # cleared before a page once past the bound, then one page's
+            # pieces: six with text, the bare start tag and the end tag
+            assert len(dom._token_memo) <= 8 + 8
+        assert not [key for key in dom._token_memo if key.endswith("x0-0")]
 
     def test_identical_tags_get_their_own_attributes(self):
         source = '<ul><li class="a">1</li><li class="a">2</li><li CLASS="a">3</li></ul>'

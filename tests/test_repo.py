@@ -215,8 +215,9 @@ MUTABLE = (Wrapper, Rule, StoredExample, DomNode, dict, list)
 
 
 def mutable_ids(root) -> set:
-    """ids of the mutable objects reachable from root through attributes
-    and container items; an object's own attribute dict is not counted."""
+    """ids of the mutable objects reachable from root through attributes,
+    slotted ones included, and container items; an object's own attribute
+    dict is not counted."""
     seen, found, stack = set(), set(), [root]
     while stack:
         obj = stack.pop()
@@ -229,8 +230,14 @@ def mutable_ids(root) -> set:
             stack += [*obj.keys(), *obj.values()]
         elif isinstance(obj, (list, tuple, frozenset)):
             stack += obj
-        elif hasattr(obj, "__dict__"):
-            stack += vars(obj).values()
+        else:
+            if hasattr(obj, "__dict__"):
+                stack += vars(obj).values()
+            for cls in type(obj).__mro__:
+                slots = cls.__dict__.get("__slots__", ())
+                for slot in (slots,) if isinstance(slots, str) else slots:
+                    if hasattr(obj, slot):
+                        stack.append(getattr(obj, slot))
     return found
 
 
@@ -386,6 +393,47 @@ class TestWritesOnlyWhatReadsBack:
             ".lock", "log.jsonl", "v1.json",
         ]
 
+    @pytest.mark.parametrize(
+        "summary",
+        [
+            [(1, [], {})],
+            [("rule", "trigger", None)],
+            [("rule", "trigger")],
+            [("rule", "trigger", "delta", "extra")],
+            [5],
+            5,
+            ["abc"],
+            "abc",
+        ],
+    )
+    def test_summary_that_would_not_read_back_is_refused(self, tmp_path, rng, summary):
+        store = WrapperStore(tmp_path)
+        with pytest.raises(StorageError, match="change summary"):
+            store.commit(random_wrapper(rng, name="shop"), summary=summary)
+        assert not (tmp_path / "shop").exists()
+
+    @pytest.mark.parametrize("timestamp", [5, 1.5, b"2024-01-01", ["2024-01-01"]])
+    def test_timestamp_that_is_no_string_is_refused(self, tmp_path, rng, timestamp):
+        store = WrapperStore(tmp_path)
+        w1 = random_wrapper(rng, name="shop")
+        store.commit(w1, timestamp="2024-01-01T00:00:00+00:00")
+        log = (tmp_path / "shop" / "log.jsonl").read_bytes()
+        with pytest.raises(StorageError, match="timestamp"):
+            store.commit(bump(random_wrapper(rng, name="shop"), 2), timestamp=timestamp)
+        assert (tmp_path / "shop" / "log.jsonl").read_bytes() == log
+        assert not (tmp_path / "shop" / "v2.json").exists()
+        assert store.checkout("shop") == w1
+
+    def test_a_string_summary_and_timestamp_read_back(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        summary = [("price", "constraint_violation", "plan: a -> b")]
+        record = store.commit(
+            random_wrapper(rng, name="shop"), summary=summary, timestamp="2024-01-01"
+        )
+        assert WrapperStore(tmp_path).history("shop") == [record]
+        assert record.change_summary == tuple(summary)
+        assert record.timestamp == "2024-01-01"
+
     def test_bad_pattern_on_disk_is_corruption(self, tmp_path, rng):
         store = WrapperStore(tmp_path)
         store.commit(random_wrapper(rng, name="shop"))
@@ -471,13 +519,19 @@ MISTYPED = [
     {"parent_version": "0"},
     {"parent_version": 0.5},
     {"content_digest": 5},
+    {"timestamp": 5},
+    {"timestamp": None},
+    {"change_summary": [{"rule": 1, "trigger": [], "delta": {}}]},
+    {"change_summary": [{"rule": "r", "trigger": "t", "delta": None}]},
+    {"change_summary": {}},
+    {"change_summary": ""},
 ]
 
 
 @pytest.mark.parametrize("fields", MISTYPED, ids=lambda d: "%s=%r" % next(iter(d.items())))
 class TestMistypedLog:
-    """A log line that decodes but whose version, parent or digest has the
-    wrong type is no version record."""
+    """A log line that decodes but whose version, parent, digest,
+    timestamp or change summary has the wrong type is no version record."""
 
     def test_acknowledged_mistyped_line_is_corruption(self, tmp_path, rng, fields):
         store = WrapperStore(tmp_path)

@@ -9,7 +9,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wrapmend.dom import DomTree, enumerate_subtrees, parse_html, resolve
+from operator import itemgetter
+
+from wrapmend import xpath
+from wrapmend.dom import DomTree, _walk, enumerate_subtrees, parse_html, resolve
 from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint
 from wrapmend.xpath import (
     AttrEquals,
@@ -30,7 +33,7 @@ from wrapmend.xpath import (
     relaxation_variants,
 )
 
-from conftest import SAFE_LABELS, WORDS, random_node, scenario_pages
+from conftest import SAFE_LABELS, WORDS, random_node, random_tree, scenario_pages
 
 PAGE_SOURCE = """
 <html>
@@ -149,6 +152,16 @@ class TestEvaluate:
 
     def test_root_step(self):
         assert evaluate(parse_xpath("/html"), PAGE) == [()]
+
+    def test_a_context_path_given_as_a_list(self):
+        expr = parse_xpath(".//span[@class='price']")
+        want = [(0, 1, 1, 1)]
+        assert evaluate(expr, PAGE, [0, 1, 1]) == evaluate(expr, PAGE, (0, 1, 1)) == want
+        plan = FallbackPlan(best=expr, best_tag="attribute")
+        node = resolve(PAGE, (0, 1, 1))
+        for context in ([0, 1, 1], (0, 1, 1)):
+            matches, _ = apply_plan(plan, PAGE, context_path=context, context_node=node)
+            assert [p for p, _ in matches] == want
 
     def test_position_picks_sibling(self):
         got = evaluate(parse_xpath("/html/body/div[2]"), PAGE)
@@ -347,6 +360,95 @@ class TestEvaluateDifferential:
                 apply_plan(plan, tree, context_path=context, context_node=node)
             return
         assert apply_plan(plan, tree, context_path=context, context_node=node) == want
+
+
+def reference_step(step, contexts):
+    """_step as the name test and then _filtered over each group: every
+    parent the step reaches, once, in document order."""
+    parents = {}
+    for path, node in contexts:
+        reached = _walk(node, path) if step.axis == "descendant" else [(path, node)]
+        for p, n in reached:
+            parents[p] = n
+    out = []
+    for p, n in parents.items():
+        kept = [i for i, c in enumerate(n.children) if step.name in ("*", c.label)]
+        kept = xpath._filtered(step.predicates, n.children, kept)
+        out += [(p + (i,), n.children[i]) for i in kept]
+    return sorted(out, key=itemgetter(0))
+
+
+@st.composite
+def step_and_contexts(draw):
+    """A random tree, up to three of its nodes as contexts in document
+    order, and a step of either axis, named or *, with 0-3 predicates of
+    every kind.  The step heads for a drawn target: one context holds
+    it, and the name and most predicate values are taken from it or its
+    siblings."""
+    labels = draw(st.sampled_from((SAFE_LABELS, SAFE_LABELS[:2])))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tree = random_tree(rng, max_depth=3, max_branch=5, labels=labels,
+                       with_text=True, with_attrs=True)
+    nodes = enumerate_subtrees(tree)
+    target_path, target = draw(st.sampled_from(nodes[1:] or nodes))
+    axis = draw(st.sampled_from(("child", "descendant")))
+    if axis == "child":
+        holder = target_path[:-1]
+    else:
+        holder = target_path[: draw(st.integers(0, max(0, len(target_path) - 1)))]
+    picked = dict(draw(st.lists(st.sampled_from(nodes), max_size=2)))
+    picked[holder] = resolve(tree, holder)
+    siblings = resolve(tree, target_path[:-1]).children or [target]
+    anywhere = [n for _, n in nodes]
+
+    def predicate():
+        kind = draw(st.sampled_from(("position", "equals", "fragment", "text")))
+        if kind == "position":
+            return Position(draw(st.integers(1, 3)))
+        node = draw(st.sampled_from((target, target, siblings, anywhere)))
+        if node is not target:
+            node = draw(st.sampled_from(node))
+        if kind == "text":
+            return TextEquals(node.text)
+        value = node.attributes.get("class", draw(st.sampled_from(WORDS)))
+        if kind == "equals":
+            return AttrEquals("class", value)
+        part = re.escape(value[: draw(st.integers(1, max(1, len(value))))])
+        return AttrFragment("class", draw(st.sampled_from(("^%s", "%s$", "%s"))) % part)
+
+    step = Step(
+        axis=axis,
+        name=draw(st.sampled_from(("*", target.label, draw(st.sampled_from(SAFE_LABELS))))),
+        predicates=tuple(predicate() for _ in range(draw(st.integers(0, 3)))),
+    )
+    return step, sorted(picked.items())
+
+
+class TestStepDifferential:
+    """_step decides the predicates before a step's first Position in its
+    scan; the reference narrows each whole group with _filtered."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(step_and_contexts())
+    def test_equals_reference(self, case):
+        step, contexts = case
+        got = xpath._step(step, contexts)
+        want = reference_step(step, contexts)
+        assert [p for p, _ in got] == [p for p, _ in want]
+        assert all(a is b for (_, a), (_, b) in zip(got, want))
+
+    def test_groups_are_filtered_only_for_a_position(self, monkeypatch):
+        calls = []
+        filtered = xpath._filtered
+        monkeypatch.setattr(
+            xpath, "_filtered", lambda *a: calls.append(a[0]) or filtered(*a)
+        )
+        price = parse_xpath(".//span[@class='price'][text()='3.50']")
+        assert evaluate(price, PAGE, ()) == [(0, 1, 1, 1)]
+        assert calls == []
+        second = parse_xpath(".//div[matches(@class,'^product')][2]/span[@class='name']")
+        assert evaluate(second, PAGE, ()) == [(0, 1, 1, 0)]
+        assert calls == [(Position(2),)]
 
 
 class TestAnchors:
