@@ -95,12 +95,10 @@ class DatatypeViolation(Violation):
 
 
 def constraint_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "cardinality":
+    """The constraint of a file dict whose kind the format check has judged."""
+    if d["kind"] == "cardinality":
         return CardinalityConstraint(min_count=d["min"], max_count=d.get("max"))
-    if kind == "datatype":
-        return DatatypeConstraint(datatype=d["datatype"], pattern=d.get("pattern"))
-    raise ValueError("unknown constraint kind %r" % (kind,))
+    return DatatypeConstraint(datatype=d["datatype"], pattern=d.get("pattern"))
 
 
 def validate_results(results, constraints) -> list:

@@ -8,14 +8,13 @@ adaptation config, a stored example subtree, and a learned template.
 Wrapper values are immutable by convention: execution never mutates one,
 adaptation builds a new value with a bumped version.  The JSON file
 format is stated once, in schema/wrapper-v1.schema.json, shipped with
-the package.  At import the schema is compiled into an accept-only check:
-a file it certifies is built directly, and any other is judged and
-worded by jsonschema, which is imported only then.
+the package.  At import the schema is compiled into the format check,
+the one judge of a file: it refuses a file with the JSON path of the
+first failure it finds and what the schema expected there.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -292,6 +291,7 @@ class Wrapper:
         return replace(self, root_rules=tuple(walk(r, r.name) for r in self.root_rules))
 
     def find_rule(self, path: str) -> Rule:
+        """The rule at a "parent/child" path, else KeyError: public API."""
         for candidate, rule in self.iter_rules():
             if candidate == path:
                 return rule
@@ -336,21 +336,6 @@ _SCHEMA = json.loads(
     .joinpath("schema/wrapper-v1.schema.json")
     .read_text("utf-8")
 )
-_validator_cache = None
-
-
-def _validator():
-    """The shipped schema's validator, imported, built and
-    metaschema-checked on first use; a process that only accepts
-    wrappers never uses it."""
-    global _validator_cache
-    if _validator_cache is None:
-        from jsonschema.validators import validator_for
-
-        cls = validator_for(_SCHEMA)
-        cls.check_schema(_SCHEMA)
-        _validator_cache = cls(_SCHEMA)
-    return _validator_cache
 
 
 # Rules and templates may nest this many levels, a rule's template one
@@ -381,22 +366,25 @@ def _nesting(d) -> int:
 
 
 # The format check is the shipped schema compiled at import, one check per
-# schema node.  A check says yes only when the value certainly matches its
-# node, and never raises on a value that nests within MAX_NESTING.  It is
-# stricter in places, which only sends a file to the validator: JSON types
-# are exact (1.0 is not an integer, True is not a number, NaN is in no
-# range), an object or array node refuses other types even without "type",
-# and uniqueItems holds only for distinct strings.  A keyword the compiler
-# cannot state exactly stops the import, as skipping it would be looser.
+# schema node: the one judge of a wrapper file.  A check returns None when
+# the value matches its node, else the first failure it finds: the keys
+# and indices down to the failing value, and what the node there expected.
+# It never raises on a value nesting within MAX_NESTING.  Where JSON Schema
+# leaves room it decides: an integer is an int, not 1.0 (never written),
+# and a number a finite int or float, not NaN or Infinity; True is neither.
+# Object and array nodes refuse other types without "type", and uniqueItems
+# holds only for distinct strings; no verdict here turns on either.  A
+# keyword it cannot state exactly, or a choice of more than two, stops the
+# import, as skipping it would be looser.
 
-_TYPES = {
-    "null": (type(None),),
-    "boolean": (bool,),
-    "integer": (int,),
-    "number": (int, float),
-    "string": (str,),
-    "array": (list,),
-    "object": (dict,),
+_TYPES = {  # JSON type: its Python types, and what a refusal expected
+    "null": ((type(None),), "null"),
+    "boolean": ((bool,), "a boolean"),
+    "integer": ((int,), "an integer"),
+    "number": ((int, float), "a finite number"),
+    "string": ((str,), "a string"),
+    "array": ((list,), "an array"),
+    "object": ((dict,), "an object"),
 }
 _ANNOTATIONS = frozenset(("$schema", "$id", "$defs", "title", "description"))
 
@@ -420,11 +408,15 @@ def _compile(schema: dict, defs: dict, done: dict):
         # branches.  This schema's branches exclude each other: distinct
         # kind consts, disjoint required keys under additionalProperties
         # false, null beside an object; the differential tests hold it.
-        check = functools.reduce(_either, map(sub, schema["oneOf"]))
+        # A refusal reports the branch whose consts the value holds (a
+        # constraint's kind), else those consts, else the deepest (_any).
+        props = [b.get("properties", {}) for b in schema["oneOf"]]
+        consts = [{k: p["const"] for k, p in ps.items() if "const" in p} for ps in props]
+        check = _any([sub(b) for b in schema["oneOf"]], schema, consts)
         if keys == {"oneOf"}:
             return check
         rest = sub({k: schema[k] for k in keys - {"oneOf"}})
-        return lambda v: rest(v) and check(v)
+        return lambda v: rest(v) or check(v)
     if keys & {"properties", "required", "additionalProperties"}:
         _expect(
             keys <= {"type", "properties", "required", "additionalProperties"}
@@ -443,23 +435,19 @@ def _compile(schema: dict, defs: dict, done: dict):
             and type(unique) is bool,
             schema,
         )
-        item = sub(get("items", {}))
-        return lambda v: (
-            type(v) is list
-            and all(map(item, v))
-            and (not unique or {type(x) for x in v} <= {str} and len(set(v)) == len(v))
-        )
+        return _array(sub(get("items", {})), unique)
     if keys & {"enum", "const"}:
-        choices = frozenset(schema["enum"] if "enum" in keys else [schema["const"]])
+        listed = schema["enum"] if "enum" in keys else [schema["const"]]
         # in Python 1 == 1.0 == True, in JSON they differ
-        _expect(len(keys) == 1 and {type(c) for c in choices} <= {str}, schema)
-        return lambda v: type(v) is str and v in choices
+        _expect(len(keys) == 1 and {type(c) for c in listed} <= {str}, schema)
+        choices, failure = frozenset(listed), ((), " or ".join(map(repr, listed)))
+        return lambda v: None if type(v) is str and v in choices else failure
     _expect(keys <= {"type", "minimum", "maximum", "minLength", "pattern"}, schema)
     if not keys:
-        return lambda v: True
+        return lambda v: None
     names = get("type", list(_TYPES))
     names = [names] if isinstance(names, str) else names
-    return functools.reduce(_either, (_typed(name, schema) for name in names))
+    return _any([_typed(name, schema) for name in names], schema)
 
 
 def _expect(holds: bool, schema: dict) -> None:
@@ -467,72 +455,106 @@ def _expect(holds: bool, schema: dict) -> None:
         raise ValueError("no format check for %s" % (json.dumps(schema),))
 
 
-def _either(a, b):
+def _any(checks: list, schema: dict, consts=()):
+    """The check that one of at most two checks passes.  Its refusal is the
+    deepest failure of the checks whose consts the value holds; if it holds
+    none, each check's consts are its failure.  Expectations there join."""
+    _expect(len(checks) <= 2, schema)
+    if len(checks) == 1:
+        return checks[0]
+
+    def report(v, failures):
+        if type(v) is dict and any(consts):  # a const the value holds picks the branch
+            failures = [f for f, c in zip(failures, consts) if v.items() >= c.items()] or [
+                ((k,), repr(x)) for c in consts for k, x in c.items()]
+        path = max((p for p, _ in failures), key=len)
+        return path, " or ".join(dict.fromkeys(e for p, e in failures if p == path))
+
+    a, b = checks
     if b is _null:  # the common "or null", one call shorter
-        return lambda v: v is None or a(v)
-    return lambda v: a(v) or b(v)
+        return lambda v: None if v is None or (f := a(v)) is None else report(v, [f, b(v)])
+    return lambda v: None if (f := a(v)) is None or (g := b(v)) is None else report(v, [f, g])
 
 
-def _null(v) -> bool:
-    return v is None
+def _null(v):
+    return None if v is None else ((), "null")
 
 
 def _object(fields: dict, required: frozenset, closed: bool):
-    if not (fields or closed):
-        return lambda d: type(d) is dict and d.keys() >= required
+    missing = ((), "keys " + ", ".join(map(repr, sorted(required))))
 
-    def check(d) -> bool:
+    def check(d):
         if type(d) is not dict or not d.keys() >= required:
-            return False
+            return missing if type(d) is dict else ((), "an object")
         for k, v in d.items():
             field = fields.get(k)
             if field is None:
                 if closed:
-                    return False
-            elif not field(v):
-                return False
-        return True
+                    return (), "no key %r" % (k,)
+            elif failure := field(v):
+                return (k,) + failure[0], failure[1]
+        return None
+
+    if not (fields or closed):
+        return lambda d: None if type(d) is dict and d.keys() >= required else check(d)
+    return check
+
+
+def _array(item, unique: bool):
+    def check(v):
+        if type(v) is not list:
+            return (), "an array"
+        for x in v:
+            if failure := item(x):
+                # a check depends on the value alone: the first item that is x failed
+                index = next(i for i, y in enumerate(v) if y is x)
+                return (index,) + failure[0], failure[1]
+        distinct = not unique or {type(x) for x in v} <= {str} and len(set(v)) == len(v)
+        return None if distinct else ((), "distinct strings")
 
     return check
 
 
 def _typed(name: str, schema: dict):
     """The check of one JSON type under the keywords that apply to it."""
-    types, get = _TYPES[name], schema.get
+    (types, noun), get = _TYPES[name], schema.get
+    said = ("minLength", "pattern") if name == "string" else ("minimum", "maximum")
+    failure = ((), noun + "".join(", %s %r" % (k, get(k)) for k in said if k in schema))
     if name == "string":
         size, pattern = get("minLength", 0), get("pattern")
         _expect(type(size) is int, schema)
         if pattern is None:
-            return lambda v: type(v) is str and len(v) >= size
-        search = re.compile(pattern).search  # as jsonschema matches it
-        return lambda v: type(v) is str and len(v) >= size and search(v) is not None
+            return lambda v: None if type(v) is str and len(v) >= size else failure
+        search = re.compile(pattern).search  # as JSON Schema matches it
+        return lambda v: None if type(v) is str and len(v) >= size and search(v) else failure
     if name in ("integer", "number"):
         low, high = get("minimum", -math.inf), get("maximum", math.inf)
         _expect({type(low), type(high)} <= {int, float}, schema)
-        return lambda v: type(v) in types and low <= v <= high
-    return _null if name == "null" else lambda v: type(v) in types
+        if name == "integer":
+            return lambda v: None if type(v) is int and low <= v <= high else failure
+        # v - v is 0 for a finite number, NaN for NaN and Infinity
+        return lambda v: None if type(v) in types and low <= v <= high and v - v == 0 else failure
+    return _null if name == "null" else (lambda v: None if type(v) in types else failure)
 
 
 # The check of a whole wrapper file: wrapper_from_dict bounds the nesting
-# before it calls it, and the differential tests replace it.
-_conforms = _compile(_SCHEMA, _SCHEMA["$defs"], {})
+# before it calls it.
+_format_error = _compile(_SCHEMA, _SCHEMA["$defs"], {})
 
 
 def wrapper_from_dict(d: dict) -> Wrapper:
     """Build a Wrapper from its file dict.  One that nests deeper than
-    MAX_NESTING is refused, and one the format check does not certify goes
-    to the schema validator, whose first error is the message."""
+    MAX_NESTING is refused, and so is one the format check refuses, with
+    the JSON path of its failure and what the schema expected there."""
     depth = _nesting(d)
     if depth > MAX_NESTING:
         raise WrapperFormatError(
             "rules and templates nest %d deep, more than %d" % (depth, MAX_NESTING)
         )
-    if not _conforms(d):
-        from jsonschema.exceptions import best_match
-
-        error = best_match(_validator().iter_errors(d))
-        if error is not None:
-            raise WrapperFormatError("schema violation: %s" % (error.message,))
+    failure = _format_error(d)
+    if failure is not None:
+        path = "".join(("[%d]" if type(k) is int else ".%s") % (k,) for k in failure[0])
+        raise WrapperFormatError("schema violation at $%s: expected %s" % (path, failure[1]))
     try:
         return Wrapper(
             name=d["name"],

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import deep_page
-from test_model import unloadable_plan
+from test_model import PAGE, sample_wrapper, unloadable_plan
 from wrapmend import engine
 from wrapmend.cli import main
 from wrapmend.corpus import author_wrapper, build_corpus
@@ -239,6 +239,17 @@ class TestRun:
         rc = main(["run", str(workdir / "wrapper.json"), str(workdir / "original.html")])
         assert rc == 2
         assert "cannot load wrapper" in capsys.readouterr().err
+
+    def test_float_residual_path_is_usage_error(self, tmp_path, capsys):
+        d = sample_wrapper().to_dict()
+        d["rules"][0]["stored_example"]["residual_path"] = [0.0]
+        (tmp_path / "w.json").write_text(json.dumps(d), encoding="utf-8")
+        (tmp_path / "p.html").write_text(serialize(PAGE), encoding="utf-8")
+        rc = main(["run", str(tmp_path / "w.json"), str(tmp_path / "p.html")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cannot load wrapper" in err
+        assert "schema violation at $.rules[0].stored_example.residual_path[0]" in err
 
     def test_commit_without_store_is_usage_error(self, workdir, capsys):
         rc = main(

@@ -1,21 +1,26 @@
-"""The accept-only format check in front of jsonschema.
+"""The format check, the one judge of a wrapper file.
 
-wrapper_from_dict builds a dict that model._conforms certifies without
-asking jsonschema.  _conforms is the shipped schema compiled at import.
-It may be stricter than the schema, which only sends a dict to the
-validator, but never looser, and it never raises.  These tests hold it
-to that against the shipped schema on generated, corpus and hand-built
-wrappers, on one-field mutations of them and on hypothesis-generated
-JSON values, and check that edits to the schema carry into the check.
-They also check the nesting bound and that accepting a wrapper never
-imports jsonschema.
+wrapper_from_dict builds a dict only when model._format_error finds no
+failure in it, and words a refusal from the failure it returns.  The
+check is the shipped schema compiled at import.  These tests hold its
+verdict to an oracle, jsonschema's validator for the shipped schema
+extended with the two type rules the check decides (an integer is an
+int, a number a finite int or float, neither a bool), in both
+directions.  They do so on generated, corpus and hand-built wrappers, on
+one-field mutations of them and on hypothesis-generated JSON values.  A
+refusal names a place inside the value, and an accepted file builds a
+wrapper that round-trips.  They also check that edits to the schema
+carry into the check, the nesting bound, and that nothing at run time
+needs jsonschema.
 """
 
 import copy
 import functools
 import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -24,7 +29,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from jsonschema.validators import validator_for
+from jsonschema.validators import extend, validator_for
 
 import wrapmend.model as model
 from conftest import random_wrapper
@@ -48,7 +53,7 @@ from wrapmend.model import (
     wrapper_json,
 )
 from wrapmend.mutate import OPERATIONS, MutationSpec, mutate_tree
-from wrapmend.repo import CorruptionError, StorageError, WrapperStore
+from wrapmend.repo import StorageError, WrapperStore
 from wrapmend.template import OCCURRENCES
 
 SCHEMA = json.loads(
@@ -100,43 +105,61 @@ def scenario_wrappers() -> tuple:
     return tuple(wrappers)
 
 
-def outcome(d):
+# The oracle: jsonschema with the two type rules the format check decides.
+# An integer is an int and a number a finite int or float, so 1.0 is no
+# integer and NaN and Infinity are no number; a bool is neither.
+_BASE = validator_for(SCHEMA)
+ORACLE = extend(
+    _BASE,
+    type_checker=_BASE.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, v: type(v) is int,
+        "number": lambda _, v: type(v) is int or type(v) is float and math.isfinite(v),
+    }),
+)(SCHEMA)
+
+
+def check(d, ask_on_refusal: bool = True) -> bool:
+    """Whether the format check accepts d, held to the oracle's verdict,
+    on a refusal only if ask_on_refusal is set.  A refusal names a place
+    inside d, and wrapper_from_dict words it.  An accepted d builds a
+    wrapper that round-trips, unless the model's own checks refuse it,
+    which is never worded as a schema violation."""
+    failure = model._format_error(d)
+    if failure is None or ask_on_refusal:
+        assert (failure is None) == ORACLE.is_valid(d), (d, failure)
+    if failure is not None:
+        path, expected = failure
+        value = d
+        for key in path:
+            value = value[key]  # the path leads into d
+        assert type(expected) is str and expected
+        with pytest.raises(WrapperFormatError, match=r"^schema violation at \$"):
+            wrapper_from_dict(d)
+        return False
     try:
-        return ("ok", wrapper_json(wrapper_from_dict(d)))
-    except Exception as e:  # the outcome, whatever it is, is what is compared
-        return (type(e).__name__, str(e))
-
-
-def schema_first(d):
-    """wrapper_from_dict's outcome when every dict goes to jsonschema."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_conforms", lambda d: False)
-        return outcome(d)
-
-
-def check(d) -> bool:
-    """_conforms(d), held to the schema.  A dict it refuses takes the
-    schema-first path anyway.  For one it accepts, the schema-first
-    outcome carries jsonschema's verdict: equal outcomes mean the schema
-    accepts d too, since the accept path never words a schema violation."""
-    accepted = model._conforms(d)
-    assert type(accepted) is bool
-    if accepted:
-        assert outcome(d) == schema_first(d), d
-    return accepted
+        w = wrapper_from_dict(d)
+    except WrapperFormatError as e:
+        assert "schema violation" not in str(e)
+        return True
+    text = wrapper_json(w)
+    again = wrapper_from_dict(json.loads(text))
+    assert again == w and wrapper_json(again) == text
+    return True
 
 
 def places(d):
-    """(container, key) for every value inside a JSON value, each
-    container before what it holds."""
-    out, stack = [], [d]
+    """(container, key, field) for every value inside a JSON value, each
+    container before what it holds.  field names the value: its key, or
+    for a list item the list's field with "[]"."""
+    out, stack = [], [(d, "$")]
     while stack:
-        value = stack.pop()
+        value, field = stack.pop()
         keys = value.keys() if isinstance(value, dict) else range(len(value))
         for k in keys:
-            out.append((value, k))
+            name = k if isinstance(value, dict) else field + "[]"
+            out.append((value, k, name))
             if isinstance(value[k], (dict, list)):
-                stack.append(value[k])
+                stack.append((value[k], name))
     return out
 
 
@@ -149,33 +172,35 @@ EXTRA_KEYS = (("surprise", 1), ("low", 0.5), ("constant", 0.5))
 
 
 def one_field_mutants(d):
-    """Yield d mutated in place at one place at a time, restoring it in
-    between: each replacement value, the key removed, an extra key, and a
-    list's first item doubled."""
-    for container, key in places(d):
+    """Yield (d, kind) with d mutated in place at one place at a time,
+    restoring it in between: each replacement value, the key removed, an
+    extra key, and a list's first item doubled.  kind is the field's name
+    and the mutation, the same for each place where a field of that name
+    is mutated alike."""
+    for container, key, name in places(d):
         original = container[key]
         for value in REPLACEMENTS:
             if type(value) is type(original) and value == original:
                 continue  # no mutation
             container[key] = value
-            yield d
+            yield d, (name, repr(value))
         if isinstance(container, dict):
             del container[key]
-            yield d
+            yield d, (name, "removed")
         container[key] = original
-    for value in [d] + [c[k] for c, k in places(d)]:
+    for value, name in [(d, "$")] + [(c[k], name) for c, k, name in places(d)]:
         if isinstance(value, dict):
             for key, extra in EXTRA_KEYS:
                 old = value.get(key, value)
                 value[key] = extra
-                yield d
+                yield d, (name, "extra %s" % key)
                 if old is value:
                     del value[key]
                 else:
                     value[key] = old
         elif isinstance(value, list) and value:
             value.append(value[0])
-            yield d
+            yield d, (name, "doubled")
             value.pop()
 
 
@@ -234,7 +259,7 @@ class TestConforms:
             assert wrapper_from_dict(d) == w
 
     def test_one_field_mutants(self):
-        accepted = refused = 0
+        accepted, refused, asked = 0, 0, set()
         # written-back wrappers hold every $def an authored one does, and
         # the sample adds a constant threshold
         wrappers = (*scenario_wrappers(), sample_wrapper())
@@ -245,14 +270,19 @@ class TestConforms:
                    for w in wrappers for _, r in w.iter_rules() if r.adaptation)
         for w in wrappers:
             d = json.loads(wrapper_json(w))
-            for mutant in one_field_mutants(d):
-                if check(mutant):
+            for mutant, kind in one_field_mutants(d):
+                # the oracle costs about a millisecond a call: it judges
+                # every accepted mutant, and the first refused one of
+                # each kind of mutation
+                if check(mutant, ask_on_refusal=kind not in asked):
                     accepted += 1
                 else:
                     refused += 1
+                    asked.add(kind)
             assert d == json.loads(wrapper_json(w))  # every mutation undone
-        # both sides are exercised, so the comparisons above said something
-        assert accepted > 1000 and refused > 10000
+        # both sides are exercised, so the comparisons above said something:
+        # 1,835 accepted, 17,606 refused, 597 kinds of refusal judged
+        assert accepted > 1000 and refused > 10000 and len(asked) > 500
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(GENERATED, st.integers(min_value=0))
@@ -262,7 +292,7 @@ class TestConforms:
         if where % (len(spots) + 1) == len(spots):
             d = value
         else:
-            container, key = spots[where % len(spots)]
+            container, key, _ = spots[where % len(spots)]
             container[key] = value
         check(d)
 
@@ -295,10 +325,10 @@ class TestCompile:
     )
     def test_a_tightened_schema_refuses(self, edit):
         d = json.loads(wrapper_json(corpus_wrappers()[1]))
-        assert compiled(SCHEMA)(d)
+        assert compiled(SCHEMA)(d) is None
         schema = edited(edit)
         assert not validator_for(schema)(schema).is_valid(d)
-        assert not compiled(schema)(d)
+        assert compiled(schema)(d) is not None
 
     @pytest.mark.parametrize(
         "edit",
@@ -347,8 +377,12 @@ class TestNesting:
             wrapper_from_dict(chain(depth - 50, template_depth=50, bad=bad))
 
     def test_deep_schema_violation_is_worded_by_the_schema(self):
-        with pytest.raises(WrapperFormatError, match="schema violation"):
+        where = r"\$\.rules\[0\]" + r"\.children\[0\]" * 59
+        with pytest.raises(WrapperFormatError) as refused:
             wrapper_from_dict(chain(60, template_depth=40, bad=True))
+        assert re.fullmatch(
+            r"schema violation at %s: expected no key 'surprise'" % where, str(refused.value)
+        )
 
     def test_store_refuses_and_reports_a_deep_wrapper(self, tmp_path):
         store = WrapperStore(tmp_path)
@@ -362,27 +396,45 @@ class TestNesting:
         assert store.checkout("deep") == deep
 
 
-ACCEPT_ONLY = """
-import sys, wrapmend
+WITHOUT_JSONSCHEMA = """
+import sys
+sys.modules["jsonschema"] = None  # importing it now raises ImportError
+import wrapmend
+from wrapmend.cli import main
 from wrapmend.repo import WrapperStore
-wrapmend.load_wrapper(sys.argv[1])
-WrapperStore(sys.argv[2]).checkout("listing")
-print(sorted(m for m in sys.modules if m.partition(".")[0] == "jsonschema"))
+good, store, bad, page = sys.argv[1:]
+wrapmend.load_wrapper(good)
+WrapperStore(store).checkout("listing")
+try:
+    wrapmend.load_wrapper(bad)
+except wrapmend.WrapperFormatError as e:
+    print(e)
+raise SystemExit(main(["run", bad, page]))
 """
 
 
-def test_accepting_wrappers_never_imports_jsonschema(tmp_path):
+def test_the_runtime_runs_without_jsonschema(tmp_path):
     page = parse_html(generate_page(random.Random(7)))
     wrapper = author_wrapper(page)
     model.save_wrapper(wrapper, tmp_path / "wrapper.json")
     WrapperStore(tmp_path / "store").commit(wrapper)
+    d = json.loads(wrapper_json(wrapper))
+    d["rules"][0]["stored_example"]["residual_path"] = [0.0]
+    (tmp_path / "bad.json").write_text(json.dumps(d), encoding="utf-8")
+    (tmp_path / "page.html").write_text(serialize(page), encoding="utf-8")
     src = str(Path(__file__).resolve().parents[1] / "src")
+    args = ["wrapper.json", "store", "bad.json", "page.html"]
     out = subprocess.run(
-        [sys.executable, "-c", ACCEPT_ONLY, str(tmp_path / "wrapper.json"),
-         str(tmp_path / "store")],
+        [sys.executable, "-c", WITHOUT_JSONSCHEMA, *(str(tmp_path / a) for a in args)],
         capture_output=True,
         text=True,
-        check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "[]"
+    refusal = (
+        "schema violation at $.rules[0].stored_example.residual_path[0]:"
+        " expected an integer, minimum 0"
+    )
+    assert out.stdout == refusal + "\n", out.stderr
+    assert out.returncode == 2
+    assert out.stderr.startswith("wrapmend: cannot load wrapper")
+    assert out.stderr.rstrip().endswith(refusal)

@@ -3,9 +3,8 @@
 Corpus pages, damaged by mutation mixes and by byte edits, run in one-
 and two-page bundles under their site's authored wrapper.  Nothing may
 raise, every match must name the node its text came from, and every
-wrapper a repair writes back must pass the accept-only format check
-(so a checkout of it never needs jsonschema), load back as itself and
-run again on the same bundle.
+wrapper a repair writes back must pass the format check, load back as
+itself and run again on the same bundle.
 """
 
 import functools
@@ -107,7 +106,7 @@ def test_whole_loop(bundle):
     if new is None:
         return
     d = json.loads(wrapper_json(new))
-    assert model._conforms(d)
+    assert model._format_error(d) is None
     loaded = wrapper_from_dict(d)
     assert loaded == new
     results, _, _ = execute_wrapper(loaded, ctx)

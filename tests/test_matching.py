@@ -391,10 +391,10 @@ def _top_level_modules_after(statement: str) -> set:
 
 
 class TestDependencies:
-    def test_import_loads_only_stdlib_and_jsonschema(self):
-        # jsonschema is the one declared dependency; anything else a bare
-        # import loads would be an undeclared requirement
+    def test_import_loads_only_stdlib(self):
+        # the package declares no dependency; anything a bare import loads
+        # beyond what the interpreter starts with would be an undeclared one
         loaded = _top_level_modules_after("import wrapmend")
-        allowed = _top_level_modules_after("import jsonschema") | {"wrapmend"}
+        allowed = _top_level_modules_after("pass") | {"wrapmend"}
         extra = {m for m in loaded - allowed if m not in sys.stdlib_module_names}
         assert extra == set()

@@ -2,12 +2,8 @@
 
 import json
 from dataclasses import replace
-from importlib import resources
 
-import jsonschema
 import pytest
-
-import wrapmend.model as model
 
 from wrapmend.constraints import CardinalityConstraint, DatatypeConstraint
 from wrapmend.dom import PathError, parse_html, resolve, serialize
@@ -257,20 +253,14 @@ class TestRuleAndWrapper:
         assert wrapper_json(w.map_rules(lambda _, rule: rule)) == wrapper_json(w)
 
 
-def assert_schema_rejects(d):
-    """wrapper_from_dict raises WrapperFormatError carrying the message
-    jsonschema.validate gives, on a first and a repeated call."""
-    schema = json.loads(
-        resources.files("wrapmend")
-        .joinpath("schema/wrapper-v1.schema.json")
-        .read_text("utf-8")
-    )
-    with pytest.raises(jsonschema.ValidationError) as expected:
-        jsonschema.validate(d, schema)
+def assert_schema_rejects(d, path, expected):
+    """wrapper_from_dict raises WrapperFormatError naming the JSON path of
+    the failure and what the schema expected there, on a first and a
+    repeated call."""
     for _ in range(2):
         with pytest.raises(WrapperFormatError) as got:
             wrapper_from_dict(d)
-        assert str(got.value) == "schema violation: %s" % expected.value.message
+        assert str(got.value) == "schema violation at %s: expected %s" % (path, expected)
 
 
 class TestSerialization:
@@ -313,40 +303,79 @@ class TestSerialization:
     def test_schema_rejects_missing_name(self):
         d = sample_wrapper().to_dict()
         del d["name"]
-        assert_schema_rejects(d)
+        assert_schema_rejects(d, "$", "keys 'name', 'rules', 'version'")
 
     def test_schema_rejects_bad_version(self):
         d = sample_wrapper().to_dict()
         d["version"] = 0
-        assert_schema_rejects(d)
+        assert_schema_rejects(d, "$.version", "an integer, minimum 1")
 
     def test_schema_rejects_unknown_keys(self):
         d = sample_wrapper().to_dict()
         d["surprise"] = True
-        assert_schema_rejects(d)
+        assert_schema_rejects(d, "$", "no key 'surprise'")
 
     def test_schema_rejects_bad_constraint_kind(self):
         d = sample_wrapper().to_dict()
         d["rules"][0]["constraints"] = [{"kind": "parity"}]
-        assert_schema_rejects(d)
+        # no branch's kind matches, so the kinds are what was expected
+        assert_schema_rejects(
+            d, "$.rules[0].constraints[0].kind", "'cardinality' or 'datatype'"
+        )
+
+    def test_schema_rejects_a_bound_of_the_kinds_own_branch(self):
+        d = sample_wrapper().to_dict()
+        d["rules"][0]["constraints"] = [{"kind": "cardinality", "min": "x"}]
+        # the kind picks the branch whose failure is reported
+        assert_schema_rejects(d, "$.rules[0].constraints[0].min", "an integer, minimum 0")
 
     def test_schema_rejects_slash_in_rule_name(self):
         d = sample_wrapper().to_dict()
         d["rules"][0]["name"] = "a/b"
-        assert_schema_rejects(d)
+        assert_schema_rejects(
+            d, "$.rules[0].name", "a string, minLength 1, pattern '^[^/]+$'"
+        )
 
     def test_schema_rejects_bad_occurrence(self):
         d = sample_wrapper().to_dict()
         d["rules"][0]["template"]["occurrence"] = "sometimes"
-        assert_schema_rejects(d)
+        assert_schema_rejects(
+            d,
+            "$.rules[0].template.occurrence",
+            "'exactly_one' or 'optional' or 'one_or_more' or 'zero_or_more'",
+        )
 
     def test_schema_rejects_malformed_threshold(self):
         d = sample_wrapper().to_dict()
         d["rules"][0]["adaptation"]["threshold"] = {"constant": 0.5, "low": 0.1}
-        assert_schema_rejects(d)
+        # neither branch holds a const: both failures are at the threshold
+        assert_schema_rejects(
+            d, "$.rules[0].adaptation.threshold", "no key 'low' or keys 'high', 'low'"
+        )
 
-    def test_validator_built_once(self):
-        assert model._validator() is model._validator()
+    def test_schema_rejects_a_float_in_a_residual_path(self):
+        d = sample_wrapper().to_dict()
+        d["rules"][0]["stored_example"]["residual_path"] = [0.0]
+        assert_schema_rejects(
+            d, "$.rules[0].stored_example.residual_path[0]", "an integer, minimum 0"
+        )
+
+    def test_schema_rejects_integral_floats(self):
+        d = sample_wrapper().to_dict()
+        d["rules"][0]["xpath_fallbacks"][0]["priority"] = 20.0
+        assert_schema_rejects(d, "$.rules[0].xpath_fallbacks[0].priority", "an integer")
+        d = sample_wrapper().to_dict()
+        d["rules"][0]["constraints"][0]["min"] = 1.0
+        assert_schema_rejects(d, "$.rules[0].constraints[0].min", "an integer, minimum 0")
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_schema_rejects_non_finite_numbers(self, text):
+        d = json.loads(wrapper_json(sample_wrapper()).replace(
+            '"last_chosen": null', '"last_chosen": %s' % text, 1
+        ))
+        assert_schema_rejects(
+            d, "$.rules[0].adaptation.last_chosen", "a finite number or null"
+        )
 
     def test_load_rejects_non_json(self, tmp_path):
         path = tmp_path / "junk.json"

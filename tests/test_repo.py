@@ -10,7 +10,7 @@ import pytest
 import wrapmend.repo as repo
 from conftest import random_wrapper
 from test_cli import ORIGINAL_HTML, WRAPPED_HTML
-from test_model import unloadable_wrapper
+from test_model import sample_wrapper, unloadable_wrapper
 from wrapmend.constraints import CardinalityConstraint
 from wrapmend.corpus import author_wrapper
 from wrapmend.dom import DomNode, parse_html
@@ -434,6 +434,21 @@ class TestWritesOnlyWhatReadsBack:
         assert record.change_summary == tuple(summary)
         assert record.timestamp == "2024-01-01"
 
+    def test_non_finite_number_is_refused_before_writing(self, tmp_path, rng):
+        store = WrapperStore(tmp_path)
+        w1 = random_wrapper(rng, name="shop")
+        store.commit(w1)
+        log = (tmp_path / "shop" / "log.jsonl").read_bytes()
+        w2 = bump(sample_wrapper(), 2)
+        rule = w2.root_rules[0]
+        adaptation = replace(rule.adaptation, last_chosen=float("inf"))
+        w2 = replace(w2, root_rules=(replace(rule, adaptation=adaptation),))
+        with pytest.raises(StorageError, match=r"last_chosen: expected a finite number"):
+            store.commit(w2)
+        assert (tmp_path / "shop" / "log.jsonl").read_bytes() == log
+        assert not (tmp_path / "shop" / "v2.json").exists()
+        assert store.checkout("shop") == w1
+
     def test_bad_pattern_on_disk_is_corruption(self, tmp_path, rng):
         store = WrapperStore(tmp_path)
         store.commit(random_wrapper(rng, name="shop"))
@@ -443,6 +458,16 @@ class TestWritesOnlyWhatReadsBack:
         rewrite_content(wdir, (json.dumps(d, indent=2, sort_keys=True) + "\n").encode())
         with pytest.raises(CorruptionError, match="bad pattern"):
             store.checkout("shop")
+
+    def test_float_residual_path_on_disk_is_corruption(self, tmp_path):
+        WrapperStore(tmp_path).commit(replace(sample_wrapper(), version=1))
+        wdir = tmp_path / "shop"
+        d = json.loads((wdir / "v1.json").read_bytes())
+        d["rules"][0]["stored_example"]["residual_path"] = [0.0]
+        rewrite_content(wdir, (json.dumps(d, indent=2, sort_keys=True) + "\n").encode())
+        refusal = r"schema violation at \$\.rules\[0\]\.stored_example\.residual_path\[0\]:"
+        with pytest.raises(CorruptionError, match=refusal):
+            WrapperStore(tmp_path).checkout("shop")  # a new store has nothing built
 
 
 class TestTornLog:
